@@ -757,7 +757,7 @@ impl Daemon {
 
     /// One NDJSON connection: request line in, response line out.
     fn handle_connection(&self, stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+        let _ = configure_stream(&stream);
         let mut writer = match stream.try_clone() {
             Ok(w) => w,
             Err(_) => return,
@@ -793,10 +793,38 @@ impl Daemon {
     }
 }
 
+/// Socket options of an accepted connection. The read timeout lets the
+/// handler poll for shutdown between lines. `TCP_NODELAY` sends each
+/// response line at once: with Nagle's algorithm on, a response written
+/// while the client's previous segment is still unacknowledged waits for
+/// the client's delayed ACK, about 40 ms per pipelined request.
+fn configure_stream(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+    stream.set_nodelay(true)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+
+    #[test]
+    fn accepted_streams_send_without_nagle_delay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds loopback");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connects");
+        let (accepted, _) = listener.accept().expect("accepts");
+        assert!(
+            !accepted.nodelay().expect("reads option"),
+            "Nagle on by default"
+        );
+        configure_stream(&accepted).expect("configures");
+        assert!(accepted.nodelay().expect("reads option"));
+        assert_eq!(
+            accepted.read_timeout().expect("reads option"),
+            Some(Duration::from_millis(200))
+        );
+        drop(client);
+    }
     use isop_hpo::harmonica::HarmonicaConfig;
     use isop_hpo::hyperband::HyperbandConfig;
 

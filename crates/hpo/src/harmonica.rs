@@ -127,7 +127,47 @@ fn build_features(free_bits: &[usize], degree: usize) -> Vec<Parity> {
     feats
 }
 
+/// Where [`sample_valid`]'s per-slot resampling stands: slot `slot` of
+/// `count` has made `attempts` draws, none of them accepted.
+#[derive(Debug, Clone)]
+struct SlotWalk {
+    slot: usize,
+    attempts: usize,
+    count: usize,
+    max_resample: usize,
+}
+
+impl SlotWalk {
+    /// Whether the walk takes another draw. The budget is checked at the
+    /// start of each slot only, as a draw-at-a-time loop checks it.
+    fn wants_draw(&self, budget: &Budget) -> bool {
+        self.slot < self.count && (self.attempts > 0 || !budget.exhausted())
+    }
+
+    /// Feeds one draw: an accepted draw fills the slot, and a slot that
+    /// used all `max_resample` draws is given up.
+    fn step(&mut self, accepted: bool) {
+        self.attempts += 1;
+        if accepted || self.attempts == self.max_resample {
+            self.slot += 1;
+            self.attempts = 0;
+        }
+    }
+}
+
 /// Draws up to `count` valid samples from `space`, evaluating via `obj`.
+///
+/// Equivalent to drawing one bitstring at a time — up to `max_resample`
+/// draws per requested sample, stopping when the budget is exhausted at the
+/// start of a sample — but the draws [`BinaryObjective::admits`] lets
+/// through are scored in rounds, one [`BinaryObjective::eval_batch`] each.
+/// A round draws as far as a walk that accepts every admitted draw would
+/// go; a rejection only slows the real walk, so it consumes every draw of
+/// the round, and the next round continues from where it stands. The RNG
+/// stream, the accepted samples, their order and the budget accounting are
+/// therefore those of the one-at-a-time loop; objectives that never reject
+/// an admitted draw take a single round. (A wall-clock budget that trips
+/// inside a round is observed at the next round.)
 fn sample_valid(
     obj: &mut dyn BinaryObjective,
     space: &BinarySpace,
@@ -137,23 +177,54 @@ fn sample_valid(
     rng: &mut StdRng,
 ) -> Vec<BinarySample> {
     let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        if budget.exhausted() {
-            break;
+    if max_resample == 0 {
+        return out;
+    }
+    let mut walk = SlotWalk {
+        slot: 0,
+        attempts: 0,
+        count,
+        max_resample,
+    };
+    let mut bits = Vec::with_capacity(space.n_bits());
+    while walk.wants_draw(budget) {
+        // Each entry is a run of screened-out draws followed by one
+        // admitted draw (`None`: a trailing run with no admitted draw).
+        let mut runs: Vec<(usize, Option<Vec<bool>>)> = vec![(0, None)];
+        let mut plan = walk.clone();
+        let mut plan_budget = budget.clone();
+        while plan.wants_draw(&plan_budget) {
+            space.sample_into(rng, &mut bits);
+            let admitted = obj.admits(&bits);
+            if admitted {
+                runs.last_mut().expect("open run").1 = Some(bits.clone());
+                runs.push((0, None));
+                plan_budget.record_samples(1);
+            } else {
+                runs.last_mut().expect("open run").0 += 1;
+            }
+            plan.step(admitted);
         }
-        let mut found = false;
-        for _ in 0..max_resample {
-            let bits = space.sample(rng);
-            if let Some(value) = obj.eval(&bits) {
+
+        let admitted: Vec<Vec<bool>> = runs.iter_mut().filter_map(|r| r.1.take()).collect();
+        let scores = if admitted.is_empty() {
+            Vec::new()
+        } else {
+            obj.eval_batch(&admitted)
+        };
+        let mut scored = admitted.into_iter().zip(scores);
+        for (rejected, _) in runs {
+            for _ in 0..rejected {
+                walk.step(false);
+            }
+            let Some((bits, value)) = scored.next() else {
+                break;
+            };
+            walk.step(value.is_some());
+            if let Some(value) = value {
                 budget.record_samples(1);
                 out.push(BinarySample { bits, value });
-                found = true;
-                break;
             }
-        }
-        if !found {
-            // Space may be overwhelmingly invalid here; give up on this draw.
-            continue;
         }
     }
     out
@@ -333,7 +404,7 @@ pub fn run_traced(
 mod tests {
     use super::*;
     use crate::objective::BinaryFn;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
@@ -594,6 +665,138 @@ mod tests {
                 .count,
             traced.stages_run as u64
         );
+    }
+
+    /// Rejects every third row it scores; logs each evaluated row. With
+    /// `screen`, codes starting `1, 1` are invalid and screened up front.
+    struct Picky {
+        scored: usize,
+        log: Vec<Vec<bool>>,
+        batches: usize,
+        screen: bool,
+    }
+
+    impl Picky {
+        fn new(screen: bool) -> Self {
+            Self {
+                scored: 0,
+                log: Vec::new(),
+                batches: 0,
+                screen,
+            }
+        }
+
+        fn invalid(&self, bits: &[bool]) -> bool {
+            self.screen && bits[0] && bits[1]
+        }
+    }
+
+    impl BinaryObjective for Picky {
+        fn eval(&mut self, bits: &[bool]) -> Option<f64> {
+            self.log.push(bits.to_vec());
+            if self.invalid(bits) {
+                return None;
+            }
+            self.scored += 1;
+            (!self.scored.is_multiple_of(3)).then(|| bits.iter().filter(|&&b| b).count() as f64)
+        }
+
+        fn n_bits(&self) -> usize {
+            12
+        }
+
+        fn admits(&mut self, bits: &[bool]) -> bool {
+            if self.invalid(bits) {
+                self.log.push(bits.to_vec());
+                return false;
+            }
+            true
+        }
+
+        fn eval_batch(&mut self, rows: &[Vec<bool>]) -> Vec<Option<f64>> {
+            self.batches += 1;
+            rows.iter().map(|bits| self.eval(bits)).collect()
+        }
+    }
+
+    /// The one-draw-at-a-time loop batched sampling replaces.
+    fn serial_sample(
+        obj: &mut dyn BinaryObjective,
+        space: &BinarySpace,
+        count: usize,
+        max_resample: usize,
+        budget: &mut Budget,
+        rng: &mut StdRng,
+    ) -> Vec<BinarySample> {
+        let mut out = Vec::new();
+        for _ in 0..count {
+            if budget.exhausted() {
+                break;
+            }
+            for _ in 0..max_resample {
+                let bits = space.sample(rng);
+                if let Some(value) = obj.eval(&bits) {
+                    budget.record_samples(1);
+                    out.push(BinarySample { bits, value });
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    /// Batched sampling is the serial loop, draw for draw: same samples,
+    /// same final RNG state, same budget accounting, same evaluation calls
+    /// — with an objective that rejects every third row after admitting
+    /// it, with and without an up-front screen, under a sample budget
+    /// capped at the sample count and when `max_resample` gives up slots.
+    #[test]
+    fn batched_sampling_replays_the_serial_loop() {
+        let mut space = BinarySpace::free(12);
+        space.fix(5, true);
+        for screen in [false, true] {
+            for (count, cap, max_resample) in
+                [(40, 40, 64), (40, 25, 64), (30, 100, 2), (10, 10, 1)]
+            {
+                let run = |batched: bool| {
+                    let mut obj = Picky::new(screen);
+                    let mut budget = Budget::unlimited().with_samples(cap);
+                    let mut rng = StdRng::seed_from_u64(11);
+                    // Advance both streams past a prefix, as a later stage would.
+                    let _ = space.sample(&mut rng);
+                    let samples = if batched {
+                        sample_valid(&mut obj, &space, count, max_resample, &mut budget, &mut rng)
+                    } else {
+                        serial_sample(&mut obj, &space, count, max_resample, &mut budget, &mut rng)
+                    };
+                    let next: Vec<u64> = (0..4).map(|_| rng.gen::<u64>()).collect();
+                    (samples, next, budget.samples(), obj.log, obj.batches)
+                };
+                let (samples, next, used, log, batches) = run(true);
+                let (serial, serial_next, serial_used, serial_log, _) = run(false);
+                let case = format!("screen {screen}, count {count}, cap {cap}, max {max_resample}");
+                assert_eq!(samples, serial, "{case}: samples");
+                assert_eq!(next, serial_next, "{case}: RNG state");
+                assert_eq!(used, serial_used, "{case}: budget");
+                assert_eq!(
+                    used,
+                    samples.len() as u64,
+                    "{case}: one sample charged per accept"
+                );
+                if screen {
+                    // Screened rows are rejected as drawn and admitted ones
+                    // scored in their batch, so compare the rows as a set.
+                    let sorted = |mut l: Vec<Vec<bool>>| {
+                        l.sort();
+                        l
+                    };
+                    assert_eq!(sorted(log), sorted(serial_log), "{case}: rows");
+                } else {
+                    assert_eq!(log, serial_log, "{case}: rows in order");
+                }
+                assert!(batches >= 1, "{case}: rows were scored in batches");
+            }
+        }
     }
 
     #[test]

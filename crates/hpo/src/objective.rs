@@ -24,6 +24,26 @@ pub trait BinaryObjective {
 
     /// Number of bits expected.
     fn n_bits(&self) -> usize;
+
+    /// A cheap first look at each drawn bitstring. `false` is final: it
+    /// stands for [`eval`](Self::eval) returning `None`, and records the
+    /// rejection just as `eval` would; the row is never evaluated. `true`
+    /// defers the row to [`eval_batch`](Self::eval_batch), which must then
+    /// treat it exactly as `eval` would (so `admits` itself records
+    /// nothing for it). Objectives whose rejections are not cheap to tell,
+    /// or whose bookkeeping depends on the call order of rejected and
+    /// admitted rows, keep the default `true`.
+    fn admits(&mut self, bits: &[bool]) -> bool {
+        let _ = bits;
+        true
+    }
+
+    /// Evaluates `rows` in order. Must equal calling [`eval`](Self::eval)
+    /// on each row in turn — results and side effects alike; objectives
+    /// backed by a model override it to score the rows in one batch.
+    fn eval_batch(&mut self, rows: &[Vec<bool>]) -> Vec<Option<f64>> {
+        rows.iter().map(|bits| self.eval(bits)).collect()
+    }
 }
 
 /// An objective over per-dimension integer levels. Lower is better.
@@ -112,9 +132,8 @@ impl<O: BinaryObjective> CountingBinary<O> {
     }
 }
 
-impl<O: BinaryObjective> BinaryObjective for CountingBinary<O> {
-    fn eval(&mut self, bits: &[bool]) -> Option<f64> {
-        let out = self.inner.eval(bits);
+impl<O> CountingBinary<O> {
+    fn count(&mut self, out: Option<f64>) -> Option<f64> {
         if out.is_some() {
             self.valid += 1;
         } else {
@@ -122,9 +141,29 @@ impl<O: BinaryObjective> BinaryObjective for CountingBinary<O> {
         }
         out
     }
+}
+
+impl<O: BinaryObjective> BinaryObjective for CountingBinary<O> {
+    fn eval(&mut self, bits: &[bool]) -> Option<f64> {
+        let out = self.inner.eval(bits);
+        self.count(out)
+    }
 
     fn n_bits(&self) -> usize {
         self.inner.n_bits()
+    }
+
+    fn admits(&mut self, bits: &[bool]) -> bool {
+        let admitted = self.inner.admits(bits);
+        if !admitted {
+            self.invalid += 1;
+        }
+        admitted
+    }
+
+    fn eval_batch(&mut self, rows: &[Vec<bool>]) -> Vec<Option<f64>> {
+        let out = self.inner.eval_batch(rows);
+        out.into_iter().map(|v| self.count(v)).collect()
     }
 }
 

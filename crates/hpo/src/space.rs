@@ -49,10 +49,19 @@ impl BinarySpace {
 
     /// Draws a uniform sample consistent with the restrictions.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> Vec<bool> {
-        self.fixed
-            .iter()
-            .map(|f| f.unwrap_or_else(|| rng.gen::<bool>()))
-            .collect()
+        let mut bits = Vec::with_capacity(self.fixed.len());
+        self.sample_into(rng, &mut bits);
+        bits
+    }
+
+    /// [`sample`](Self::sample) into a reused buffer: same draws, same bits.
+    pub fn sample_into<R: Rng>(&self, rng: &mut R, bits: &mut Vec<bool>) {
+        bits.clear();
+        bits.extend(
+            self.fixed
+                .iter()
+                .map(|f| f.unwrap_or_else(|| rng.gen::<bool>())),
+        );
     }
 
     /// Projects `bits` onto the space by overwriting restricted positions.

@@ -195,12 +195,21 @@ impl Scaler {
         assert_eq!(m.cols(), self.means.len(), "scaler width mismatch");
         let mut out = m.clone();
         for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = *v * self.stds[c] + self.means[c];
-            }
+            self.inverse_transform_row(out.row_mut(r));
         }
         out
+    }
+
+    /// Inverts the transform on a single row in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row length differs from the fitted width.
+    pub fn inverse_transform_row(&self, row: &mut [f64]) {
+        assert_eq!(row.len(), self.means.len(), "scaler width mismatch");
+        for (c, v) in row.iter_mut().enumerate() {
+            *v = *v * self.stds[c] + self.means[c];
+        }
     }
 
     /// Per-column standard deviations (scale factors).

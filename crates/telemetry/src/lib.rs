@@ -55,7 +55,8 @@ pub enum Counter {
     SurrogatePredictBatch,
     /// Total rows across all `predict_batch` calls.
     SurrogatePredictBatchRows,
-    /// Single-design surrogate input-Jacobian evaluations.
+    /// Single-design surrogate input-Jacobian evaluations, fused
+    /// value-and-Jacobian calls included.
     SurrogateJacobian,
     /// Surrogate `jacobian_batch` calls.
     SurrogateJacobianBatch,
