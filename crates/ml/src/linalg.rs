@@ -179,6 +179,23 @@ impl Matrix {
         }
     }
 
+    /// [`Matrix::matmul_transposed`] through the narrow-batch kernel at
+    /// every row count, so each output row is bit-identical to the product
+    /// of that row alone. The shape-dispatched entry points switch to the
+    /// axpy kernel at 16 rows, whose sums run in another order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an inner-dimension mismatch.
+    pub fn matmul_transposed_per_row(&self, rhs_t: &Matrix) -> Matrix {
+        assert_eq!(
+            self.cols, rhs_t.cols,
+            "matmul_transposed_per_row dimension mismatch: {}x{} * ({}x{})^T",
+            self.rows, self.cols, rhs_t.rows, rhs_t.cols
+        );
+        self.kernel_dot(rhs_t)
+    }
+
     /// Wide-batch kernel: stream the row-major right operand and accumulate
     /// output rows vertically (axpy). No horizontal reductions, so the
     /// inner loop vectorises into pure element-wise multiply-adds — the

@@ -72,12 +72,17 @@ impl Dense {
         }
     }
 
-    /// `a (n x in) -> z (n x out)`.
-    fn forward(&self, a: &Matrix) -> Matrix {
+    /// `a (n x in) -> z (n x out)`; `per_row` keeps every row on the
+    /// one-row kernel (see [`Matrix::matmul_transposed_per_row`]).
+    fn forward(&self, a: &Matrix, per_row: bool) -> Matrix {
         // `w` is stored `out x in`, i.e. already the transposed right
         // operand — feed it to the kernel directly instead of paying a
         // transpose allocation per layer per call.
-        let mut z = a.matmul_transposed(&self.w);
+        let mut z = if per_row {
+            a.matmul_transposed_per_row(&self.w)
+        } else {
+            a.matmul_transposed(&self.w)
+        };
         for r in 0..z.rows() {
             for (v, b) in z.row_mut(r).iter_mut().zip(&self.b) {
                 *v += b;
@@ -200,11 +205,13 @@ impl Mlp {
 
     /// Forward pass in the standardized space, returning pre-activations per
     /// layer and the final output. `zs[l]` is the pre-activation of layer `l`.
-    fn forward_all(&self, x: &Matrix) -> (Vec<Matrix>, Matrix) {
+    /// With `per_row` every row takes the one-row matmul kernel, so each
+    /// output row is bit-identical to a one-row pass over that row.
+    fn forward_all(&self, x: &Matrix, per_row: bool) -> (Vec<Matrix>, Matrix) {
         let mut zs = Vec::with_capacity(self.layers.len());
         let mut a = x.clone();
         for (l, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(&a);
+            let z = layer.forward(&a, per_row);
             if l + 1 < self.layers.len() {
                 let mut act = z.clone();
                 for v in act.as_mut_slice() {
@@ -218,6 +225,30 @@ impl Mlp {
             }
         }
         (zs, a)
+    }
+
+    /// [`Regressor::predict`], with `per_row` as in [`Mlp::forward_all`].
+    fn predict_with(&self, x: &Matrix, per_row: bool) -> Result<Matrix, MlError> {
+        if self.layers.is_empty() {
+            return Err(MlError::NotFitted);
+        }
+        if x.cols() != self.n_features {
+            return Err(MlError::ShapeMismatch {
+                expected: self.n_features,
+                got: x.cols(),
+            });
+        }
+        let xs = self
+            .x_scaler
+            .as_ref()
+            .ok_or(MlError::NotFitted)?
+            .transform(x);
+        let (_, out) = self.forward_all(&xs, per_row);
+        Ok(self
+            .y_scaler
+            .as_ref()
+            .ok_or(MlError::NotFitted)?
+            .inverse_transform(&out))
     }
 }
 
@@ -442,26 +473,7 @@ impl Regressor for Mlp {
     }
 
     fn predict(&self, x: &Matrix) -> Result<Matrix, MlError> {
-        if self.layers.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        if x.cols() != self.n_features {
-            return Err(MlError::ShapeMismatch {
-                expected: self.n_features,
-                got: x.cols(),
-            });
-        }
-        let xs = self
-            .x_scaler
-            .as_ref()
-            .ok_or(MlError::NotFitted)?
-            .transform(x);
-        let (_, out) = self.forward_all(&xs);
-        Ok(self
-            .y_scaler
-            .as_ref()
-            .ok_or(MlError::NotFitted)?
-            .inverse_transform(&out))
+        self.predict_with(x, false)
     }
 
     fn name(&self) -> &'static str {
@@ -470,6 +482,11 @@ impl Regressor for Mlp {
 }
 
 impl Differentiable for Mlp {
+    /// The batched forward pass on the one-row matmul kernel.
+    fn predict_rowwise(&self, x: &Matrix) -> Result<Matrix, MlError> {
+        self.predict_with(x, true)
+    }
+
     fn input_jacobian(&self, x: &[f64]) -> Result<Matrix, MlError> {
         if self.layers.is_empty() {
             return Err(MlError::NotFitted);
@@ -485,7 +502,7 @@ impl Differentiable for Mlp {
         let mut row = x.to_vec();
         x_scaler.transform_row(&mut row);
         let xm = Matrix::from_rows(&[row]);
-        let (zs, _) = self.forward_all(&xm);
+        let (zs, _) = self.forward_all(&xm, true);
 
         // Chain rule, back to front: J = W_L * D_{L-1} * W_{L-1} * ... * W_1,
         // where D_l = diag(leaky'(z_l)).
@@ -564,6 +581,26 @@ mod tests {
         let pred = m.predict(&d.x).unwrap();
         assert!(r2(&d.y.col_vec(0), &pred.col_vec(0)) > 0.9);
         assert!(r2(&d.y.col_vec(1), &pred.col_vec(1)) > 0.95);
+    }
+
+    #[test]
+    fn predict_rowwise_matches_one_row_predictions_bit_for_bit() {
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![(i % 7) as f64 / 3.0 - 1.0, (i % 11) as f64 / 5.0 - 1.0])
+            .collect();
+        let ys: Vec<f64> = rows.iter().map(|r| (r[0] * r[1]).sin()).collect();
+        let d = Dataset::new(Matrix::from_rows(&rows), Matrix::column(&ys)).unwrap();
+        let mut m = Mlp::new(small_cfg());
+        m.fit(&d).unwrap();
+        // 40 rows: past the row count where `predict`'s matmul changes
+        // kernel.
+        let batch = m.predict_rowwise(&d.x).unwrap();
+        for (r, row) in rows.iter().enumerate() {
+            let one = m
+                .predict(&Matrix::from_rows(std::slice::from_ref(row)))
+                .unwrap();
+            assert_eq!(batch.row(r)[0].to_bits(), one[(0, 0)].to_bits(), "row {r}");
+        }
     }
 
     #[test]
