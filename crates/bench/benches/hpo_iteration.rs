@@ -10,6 +10,7 @@ use isop_hpo::objective::{BinaryFn, DiscreteFn};
 use isop_hpo::sa::{self, SaConfig};
 use isop_hpo::space::{BinarySpace, DiscreteSpace};
 use isop_hpo::tpe::{Tpe, TpeConfig};
+use isop_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -48,6 +49,7 @@ fn bench_hpo(c: &mut Criterion) {
                 &cfg,
                 &mut budget,
                 &mut rng,
+                &Telemetry::disabled(),
                 |_, _| {},
             )
         })

@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use isop_hpo::lasso::lasso_coordinate_descent;
+use isop_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -29,13 +30,16 @@ fn sparse_problem(n: usize, d: usize, k: usize, seed: u64) -> (Vec<f64>, Vec<f64
 
 fn bench_active_set(c: &mut Criterion) {
     let mut g = c.benchmark_group("lasso_active_set");
+    let off = Telemetry::disabled();
     g.sample_size(10);
     // (samples, columns, true support) — the larger shape matches S1's
     // degree-2 parity features (~2700 monomials, support of a handful).
     for &(n, d, k) in &[(200usize, 500usize, 4usize), (300, 2700, 6)] {
         let (x, y) = sparse_problem(n, d, k, 11);
         g.bench_function(format!("active_set_{n}x{d}_k{k}"), |b| {
-            b.iter(|| lasso_coordinate_descent(black_box(&x), black_box(&y), n, d, 0.05, 200, 1e-8))
+            b.iter(|| {
+                lasso_coordinate_descent(black_box(&x), black_box(&y), n, d, 0.05, 200, 1e-8, &off)
+            })
         });
     }
     g.finish();

@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use isop_hpo::lasso::lasso_coordinate_descent;
+use isop_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -22,11 +23,14 @@ fn make_problem(n: usize, d: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
 
 fn bench_lasso(c: &mut Criterion) {
     let mut g = c.benchmark_group("lasso_psr");
+    let off = Telemetry::disabled();
     g.sample_size(10);
     for &(n, d) in &[(200usize, 500usize), (300, 2700)] {
         let (x, y) = make_problem(n, d, 7);
         g.bench_function(format!("lasso_{n}x{d}"), |b| {
-            b.iter(|| lasso_coordinate_descent(black_box(&x), black_box(&y), n, d, 0.02, 100, 1e-6))
+            b.iter(|| {
+                lasso_coordinate_descent(black_box(&x), black_box(&y), n, d, 0.02, 100, 1e-6, &off)
+            })
         });
     }
     g.finish();

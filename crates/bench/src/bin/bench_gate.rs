@@ -1,123 +1,28 @@
-//! CI perf-regression gate: runs the seeded smoke pipeline with telemetry,
-//! writes the machine-readable `BENCH_ci.json` run report, and diffs it
-//! against the checked-in thresholds (`scripts/bench_thresholds.json`).
+//! CI correctness-and-budget gate. Runs every smoke phase of [`PHASES`] in
+//! order at [`SMOKE_SEED`]; each phase enforces its identity contracts (its
+//! doc comment lists them) and folds its counters into one telemetry
+//! handle. The gate then checks that handle's counters against their exact
+//! budgets and each phase's wall-clock against its budget times
+//! [`WALL_MARGIN`], both from `scripts/bench_thresholds.json`.
 //!
-//! Failure policy:
-//!
-//! * **Counters** are deterministic at a fixed seed (commutative atomic
-//!   adds, any thread width), so any measured value *above* its threshold
-//!   is a hard failure — the change made the pipeline do more work than
-//!   the budget allows. Values below threshold only warn (run `--update`
-//!   to tighten the budget).
-//! * **Wall-clock** is noisy, so it fails only beyond a 10% margin over
-//!   the threshold.
-//!
-//! The smoke workload runs the seeded pipeline **twice** on one telemetry
-//! handle, sharing one evaluation cache and surrogate memo across the two
-//! runs: the second run's roll-out is served entirely from cache, which is
-//! what the `em.cache.*` budgets and the >= 20% saved-EM-seconds assertion
-//! pin down. The gate also verifies the cache contract directly — both
-//! runs must produce bit-identical candidates. `--no-cache` runs the same
-//! protocol with the cache disabled; against a cache-enabled budget this
-//! *fails* (`em.cache.misses` lands over budget), which is the CI tripwire
-//! for the cache being silently turned off.
-//!
-//! A training smoke phase then gates the data-parallel training engine: a
-//! random forest and a dropout MLP each train serially and at 4 workers,
-//! the fits must be bit-identical, the phase's wall-clock has its own
-//! budget (`max_train_seconds`), and — only on hosts that actually have
-//! >= 4 cores — the forest fit must be at least 2x faster in parallel.
-//!
-//! A fault-injection smoke phase then gates the roll-out's fault
-//! tolerance: a rate-0 run through the [`FaultInjector`] must be
-//! bit-identical to a run without the fault layer (candidates, ledgers,
-//! every counter), and at a fixed fault rate the outcome and all fault
-//! counters must be bit-identical at 1 vs 4 threads, with retries actually
-//! exercised. The faulted serial run's counters fold into the budgeted
-//! report, so `em.retries` / `em.failures_*` / `em.topped_up` regressions
-//! (e.g. a retry storm) trip the gate like any other counter; the phase's
-//! wall-clock has its own budget (`max_fault_seconds`).
-//!
-//! A scheduler smoke phase then gates the async batched roll-out: under
-//! the same fault config the async schedule must deliver the synchronous
-//! schedule's candidate set while charging **strictly less** EM time (the
-//! retry surcharge the batch stream exists to absorb), and the faulted
-//! async run must be bit-identical at 1 vs 4 threads — candidates, both
-//! ledgers, and every counter including the `em.sched.*` gauges. The
-//! async serial run's counters fold into the budgeted report, so batch
-//! and slack regressions trip the gate; the phase's wall-clock has its
-//! own budget (`max_sched_seconds`).
-//!
-//! A batched-sweep smoke phase then gates the structure-of-arrays EM
-//! frequency sweep: a fleet of link-level channels is swept once through
-//! the scalar per-point path and once through a shared
-//! [`SweepPlan`](isop_em::sweep::SweepPlan), the
-//! two must agree **bit for bit** at every (channel, frequency) point, and
-//! lane width 1 vs 4 must also be bit-identical. The identity checks run
-//! on every build; the >= [`MIN_SWEEP_SPEEDUP`]x batched-over-scalar
-//! throughput requirement is enforced only when the crate was compiled
-//! with the `simd-lanes` feature (`lanes_compiled()`), mirroring how the
-//! training speedup is only enforced on hosts with enough cores. The
-//! phase's wall-clock has its own budget (`max_sweep_seconds`).
-//!
-//! A warm-store smoke phase then gates the persistent evaluation store and
-//! the trained-model registry: the seeded pipeline runs cold against a
-//! fresh store directory, then warm from fresh handles at 1 and 4 threads.
-//! The warm runs must replay the cold candidates and ledger sum bit for
-//! bit while eliding at least 90% of the cold run's charged EM seconds
-//! (full-hit replay elides 100%), the two warm widths must agree on every
-//! counter, and a zoo surrogate fitted through the registry must reload
-//! warm with zero training work — no `ml.fit.*` span, `train.chunks` = 0 —
-//! and bit-identical predictions. The phase's wall-clock has its own
-//! budget (`max_store_seconds`), its serial handles' counters fold into
-//! the budgeted report so the `store.*` read/write volumes are gated, and
-//! the cold-vs-warm wall-clock comparison is written to `BENCH_pr8.json`
-//! next to the CI report.
-//!
-//! A multi-job engine smoke phase then gates the shared-executor job
-//! scheduler: a four-job mixed-space batch (two tenants, each one fresh
-//! space and one rerun of it) runs once serially (one core permit, one
-//! wave slot) and once concurrently (host cores, two wave slots), each
-//! against its own fresh store. Always enforced: a job run **solo** is
-//! bit-identical — candidates, both EM ledgers, every per-job counter —
-//! to the same job running beside its wave neighbors, in both the serial
-//! and the concurrent batch; the rerun jobs elide their accurate EM time
-//! entirely through cross-job store hits; and the core budget's peak
-//! outstanding permits never exceed the grant. Only on hosts with at
-//! least [`ENGINE_SPEEDUP_CORES`] cores, the concurrent batch must beat
-//! the serial batch by [`MIN_ENGINE_SPEEDUP`]x wall-clock. The serial
-//! batch's per-job and engine counters fold into the budgeted report, the
-//! phase's wall-clock has its own budget (`max_engine_seconds`), and the
-//! serial-vs-concurrent comparison is written to `BENCH_pr9.json` next to
-//! the CI report.
-//!
-//! A daemon smoke phase finally gates the live optimization daemon: a
-//! real [`Daemon`] serves the four-job demo over a loopback TCP socket
-//! (NDJSON submit/status/shutdown) until every job's `Finished` frame
-//! lands in the journal; then a second daemon is deterministically killed
-//! mid-epoch — right after wave 1's safe-point journal flush, via the
-//! chaos knob — restarted on the same store directory, and must replay
-//! the finished jobs and resume the interrupted wave to results
-//! bit-identical to a never-killed daemon: candidates, both EM ledgers,
-//! and every per-job counter, with the journal holding exactly one
-//! `Finished` frame per job (zero double-charged EM seconds). The
-//! synchronous legs' counters fold into the budgeted report, so the
-//! `daemon.*` volumes are gated, the phase's wall-clock has its own
-//! budget (`max_daemon_seconds`), and the kill-vs-calm comparison is
-//! written to `BENCH_pr10.json` next to the CI report.
+//! It writes the budgeted run report to `--out` (`results/BENCH_ci.json`)
+//! and one `{phase, wall_seconds, limit_seconds, summary}` record per phase
+//! to `BENCH_gate.json` beside it.
 //!
 //! ```text
 //! bench_gate [--thresholds scripts/bench_thresholds.json]
 //!            [--out results/BENCH_ci.json] [--update] [--no-cache]
 //! ```
 //!
-//! `--update` reruns the smoke pipeline and rewrites the thresholds file
-//! from the measurement (counters exact, wall-clock with 3x headroom).
+//! `--update` rewrites the thresholds from this run (counters exact, walls
+//! with [`WALL_UPDATE_HEADROOM`]x headroom). `--no-cache` turns the
+//! pipeline phase's evaluation cache and surrogate memo off, which must
+//! fail a cache-on budget (`em.cache.misses` lands over budget).
 
 use isop::data::generate_dataset;
 use isop::evalcache::{EvalCache, SurrogateMemo};
 use isop::prelude::*;
-use isop_em::simulator::AnalyticalSolver;
+use isop_em::simulator::{AnalyticalSolver, EmSimulator};
 use isop_hpo::budget::Budget;
 use isop_hpo::harmonica::HarmonicaConfig;
 use isop_hpo::hyperband::HyperbandConfig;
@@ -126,7 +31,10 @@ use isop_ml::registry::ModelRegistry;
 use isop_ml::train::TrainContext;
 use isop_ml::Regressor;
 use isop_store::Store;
+use isop_telemetry::CounterEntry;
+use serde::json::Value;
 use serde::{Deserialize, Serialize};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -141,6 +49,10 @@ const WALL_UPDATE_HEADROOM: f64 = 3.0;
 const SMOKE_SEED: u64 = 3;
 /// Worker threads of the smoke run (counters are width-independent).
 const SMOKE_THREADS: usize = 2;
+/// Fraction of total EM wall-clock the cache must elide over the two-run
+/// pipeline phase (run two's roll-out is all hits, so the honest value is
+/// 0.5; 0.2 leaves room for a partial-hit batch without going stale).
+const MIN_SAVED_FRACTION: f64 = 0.2;
 /// Worker threads of the training smoke (the data-parallel engine's gate).
 const TRAIN_THREADS: usize = 4;
 /// Minimum forest-training speedup at [`TRAIN_THREADS`] workers, enforced
@@ -178,237 +90,81 @@ const MIN_ENGINE_SPEEDUP: f64 = 1.5;
 /// (two concurrent jobs x two leased threads each).
 const ENGINE_SPEEDUP_CORES: usize = 4;
 
-/// The checked-in perf budget the gate compares against.
+/// One smoke phase of the gate: the name of its wall budget and summary
+/// record, and the function that runs it (`Err` names the contract it found
+/// violated).
+type Phase = (&'static str, fn(&mut Ctx) -> Result<PhaseRun, String>);
+
+/// The gate's phases, in run order. The thresholds file must hold exactly
+/// one wall budget per entry.
+const PHASES: &[Phase] = &[
+    ("pipeline", pipeline_phase),
+    ("train", train_phase),
+    ("fault", fault_phase),
+    ("sched", sched_phase),
+    ("sweep", sweep_phase),
+    ("store", store_phase),
+    ("engine", engine_phase),
+    ("daemon", daemon_phase),
+];
+
+/// What one phase measured: the wall-clock its budget applies to, and
+/// named numbers for its `BENCH_gate.json` record.
+struct PhaseRun {
+    wall_seconds: f64,
+    summary: Vec<(&'static str, f64)>,
+}
+
+/// State the phases share.
+struct Ctx {
+    /// The budgeted handle: every phase folds its counters into it.
+    main: Telemetry,
+    /// `false` under `--no-cache`.
+    use_cache: bool,
+    /// Where the daemon phase exports the recovered journal's shards.
+    journal_dir: PathBuf,
+    /// The pipeline phase's two outcomes, for the run report's header.
+    smoke: Vec<IsopOutcome>,
+}
+
+/// The checked-in budget the gate compares against.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct GateThresholds {
     /// Must match [`RunReport::SCHEMA_VERSION`] of the measuring binary.
     schema_version: u32,
     /// Seed the counter budget was recorded at.
     seed: u64,
-    /// Wall-clock budget for the whole smoke run, seconds (compared with
-    /// a [`WALL_MARGIN`] tolerance).
-    max_wall_seconds: f64,
-    /// Wall-clock budget for the training smoke (serial + parallel fits),
-    /// seconds (compared with a [`WALL_MARGIN`] tolerance).
-    max_train_seconds: f64,
-    /// Wall-clock budget for the fault-injection smoke (four pipeline
-    /// runs), seconds (compared with a [`WALL_MARGIN`] tolerance).
-    max_fault_seconds: f64,
-    /// Wall-clock budget for the scheduler smoke (sync-vs-async ledger
-    /// comparison plus the 1-vs-4-thread async identity run), seconds
-    /// (compared with a [`WALL_MARGIN`] tolerance).
-    max_sched_seconds: f64,
-    /// Wall-clock budget for the batched-sweep smoke (scalar + batched +
-    /// lane-width passes), seconds (compared with a [`WALL_MARGIN`]
-    /// tolerance).
-    max_sweep_seconds: f64,
-    /// Wall-clock budget for the warm-store smoke (cold run + two warm
-    /// replays + registry round-trip), seconds (compared with a
-    /// [`WALL_MARGIN`] tolerance).
-    max_store_seconds: f64,
-    /// Wall-clock budget for the multi-job engine smoke (solo reference +
-    /// serial batch + concurrent batch), seconds (compared with a
-    /// [`WALL_MARGIN`] tolerance).
-    max_engine_seconds: f64,
-    /// Wall-clock budget for the daemon smoke (TCP demo + kill/restart
-    /// replay + calm reference), seconds (compared with a [`WALL_MARGIN`]
-    /// tolerance).
-    max_daemon_seconds: f64,
+    /// One wall-clock budget per entry of [`PHASES`].
+    wall_budgets: Vec<WallBudget>,
     /// Exact counter budget, one entry per [`Counter`].
-    counters: Vec<isop_telemetry::CounterEntry>,
+    counters: Vec<CounterEntry>,
 }
 
-/// Cold-vs-warm measurement of the warm-store smoke, written to
-/// `BENCH_pr8.json` next to the CI report so the cross-run speedup is a
-/// tracked artifact rather than a log line.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct StoreSmokeSummary {
-    /// Wall-clock of the cold pipeline run (store writes included), s.
-    cold_wall_seconds: f64,
-    /// Wall-clock of the warm serial replay (store reads included), s.
-    warm_wall_seconds: f64,
-    /// EM seconds the cold run charged.
-    cold_em_charged_seconds: f64,
-    /// EM seconds the warm replay still charged (0 at full hit rate).
-    warm_em_charged_seconds: f64,
-    /// EM seconds the warm replay served from the store.
-    warm_em_saved_seconds: f64,
-    /// Store records the warm replay was served from other "jobs".
-    warm_cross_job_hits: u64,
-    /// Wall-clock of the cold zoo fit (training + store write), s.
-    cold_fit_wall_seconds: f64,
-    /// Wall-clock of the warm zoo load (store read, zero training), s.
-    warm_fit_wall_seconds: f64,
+/// A phase's wall-clock budget, seconds (compared with a [`WALL_MARGIN`]
+/// tolerance).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct WallBudget {
+    phase: String,
+    max_seconds: f64,
 }
 
-/// Serial-vs-concurrent measurement of the multi-job engine smoke,
-/// written to `BENCH_pr9.json` next to the CI report so the batch
-/// throughput and cross-job-elision numbers are tracked artifacts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct EngineSmokeSummary {
-    /// Cores the host reported (the concurrent batch's permit budget).
-    host_cores: usize,
-    /// Wall-clock of the four-job batch at one permit, one wave slot, s.
-    serial_wall_seconds: f64,
-    /// Wall-clock of the same batch at host cores, two wave slots, s.
-    concurrent_wall_seconds: f64,
-    /// `serial_wall_seconds / concurrent_wall_seconds` (enforced >=
-    /// [`MIN_ENGINE_SPEEDUP`] only at [`ENGINE_SPEEDUP_CORES`]+ cores).
-    speedup: f64,
-    /// Simulated EM seconds the concurrent batch charged.
-    em_seconds_charged: f64,
-    /// Simulated EM seconds the concurrent batch's rerun jobs elided.
-    em_seconds_saved: f64,
-    /// Store records the concurrent batch served across jobs.
-    cross_job_hits: u64,
-    /// Peak simultaneously leased core permits of the concurrent batch.
-    peak_core_permits: usize,
-    /// Admission waves of the concurrent batch.
-    waves: u64,
+/// One phase's record in `BENCH_gate.json`.
+#[derive(Debug, Serialize)]
+struct PhaseRecord {
+    phase: &'static str,
+    wall_seconds: f64,
+    /// The wall budget times [`WALL_MARGIN`].
+    limit_seconds: f64,
+    /// The phase's named numbers, as one JSON object.
+    summary: Value,
 }
 
-/// Kill-vs-calm measurement of the daemon smoke, written to
-/// `BENCH_pr10.json` next to the CI report so the journal-replay and
-/// crash-recovery numbers are tracked artifacts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct DaemonSmokeSummary {
-    /// Wall-clock of the live TCP leg (serve + stream + drain), s.
-    tcp_wall_seconds: f64,
-    /// Jobs the TCP daemon finished and journaled.
-    tcp_jobs_finished: u64,
-    /// Wall-clock of the kill + recover + resume leg, s.
-    recovery_wall_seconds: f64,
-    /// Finished jobs the restarted daemon replayed from the journal.
-    jobs_replayed: u64,
-    /// Interrupted jobs the restarted daemon re-ran in place.
-    jobs_resumed: u64,
-    /// EM seconds the never-killed reference daemon charged.
-    calm_em_charged_seconds: f64,
-    /// EM seconds the killed + restarted daemon charged in total (journal
-    /// replay + resumed wave; must equal the calm ledger bit for bit).
-    recovered_em_charged_seconds: f64,
-    /// `Finished` journal frames after recovery (one per job — more would
-    /// mean a double-charged EM second).
-    finished_frames: u64,
+/// A `map_err` adapter that prefixes the error with `what`.
+fn failed<E: std::fmt::Display>(what: &'static str) -> impl Fn(E) -> String {
+    move |e| format!("{what}: {e}")
 }
 
-/// Everything one full smoke pass measures: the budgeted report, each
-/// phase's wall-clock, and the store/engine/daemon smokes' summaries.
-struct SmokeMeasurement {
-    report: RunReport,
-    wall: f64,
-    train_wall: f64,
-    fault_wall: f64,
-    sched_wall: f64,
-    sweep_wall: f64,
-    store_wall: f64,
-    store: StoreSmokeSummary,
-    engine_wall: f64,
-    engine: EngineSmokeSummary,
-    daemon_wall: f64,
-    daemon: DaemonSmokeSummary,
-}
-
-/// Fraction of total EM wall-clock the cache must elide over the two-run
-/// smoke protocol (run two's roll-out is all hits, so the honest value is
-/// 0.5; 0.2 leaves room for a partial-hit batch without going stale).
-const MIN_SAVED_FRACTION: f64 = 0.2;
-
-/// A named serial/parallel model pair for the training smoke.
-type TrainTwin = (&'static str, Box<dyn Regressor>, Box<dyn Regressor>);
-
-/// The data-parallel training engine's smoke: fits a random forest and a
-/// dropout MLP twice each — serial and at [`TRAIN_THREADS`] workers — on
-/// `telemetry`, and fails unless every parallel fit is bit-identical to
-/// its serial twin. On hosts with at least [`TRAIN_THREADS`] cores the
-/// forest (the embarrassingly parallel workload) must also come back at
-/// least [`MIN_TRAIN_SPEEDUP`]x faster. Returns the phase's total
-/// wall-clock, seconds.
-fn train_smoke(telemetry: &Telemetry) -> Result<f64, String> {
-    let data = generate_dataset(
-        &isop::spaces::s1(),
-        1200,
-        &AnalyticalSolver::new(),
-        SMOKE_SEED,
-    )
-    .map_err(|e| format!("train smoke dataset: {e:?}"))?;
-    let serial_ctx = TrainContext::serial().with_telemetry(telemetry.clone());
-    let par_ctx =
-        TrainContext::new(Parallelism::new(TRAIN_THREADS)).with_telemetry(telemetry.clone());
-    let forest = || {
-        RandomForest::new(
-            12,
-            TreeConfig {
-                max_depth: 9,
-                ..TreeConfig::default()
-            },
-            SMOKE_SEED,
-        )
-    };
-    let mlp = || {
-        Mlp::new(MlpConfig {
-            hidden: vec![48, 48],
-            epochs: 6,
-            dropout: 0.05,
-            seed: SMOKE_SEED,
-            ..MlpConfig::default()
-        })
-    };
-    let mut twins: Vec<TrainTwin> = vec![
-        ("forest", Box::new(forest()), Box::new(forest())),
-        ("mlp", Box::new(mlp()), Box::new(mlp())),
-    ];
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut total = 0.0;
-    for (name, serial, parallel) in &mut twins {
-        let t0 = Instant::now();
-        serial
-            .fit_with(&data, &serial_ctx)
-            .map_err(|e| format!("{name} serial fit: {e:?}"))?;
-        let serial_secs = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        parallel
-            .fit_with(&data, &par_ctx)
-            .map_err(|e| format!("{name} parallel fit: {e:?}"))?;
-        let par_secs = t1.elapsed().as_secs_f64();
-        total += serial_secs + par_secs;
-
-        let a = serial.predict(&data.x).map_err(|e| format!("{e:?}"))?;
-        let b = parallel.predict(&data.x).map_err(|e| format!("{e:?}"))?;
-        if a != b {
-            return Err(format!(
-                "training determinism violation: {name} fit at {TRAIN_THREADS} threads \
-                 diverged from the serial fit"
-            ));
-        }
-        let speedup = serial_secs / par_secs.max(1e-9);
-        if *name == "forest" && cores >= TRAIN_THREADS && speedup < MIN_TRAIN_SPEEDUP {
-            return Err(format!(
-                "training speedup regression: forest {speedup:.2}x < \
-                 {MIN_TRAIN_SPEEDUP:.1}x at {TRAIN_THREADS} threads ({cores} cores)"
-            ));
-        }
-        println!(
-            "bench_gate: train smoke {name}: serial {serial_secs:.2}s, \
-             {TRAIN_THREADS} threads {par_secs:.2}s ({speedup:.2}x, bit-identical)"
-        );
-    }
-    if cores < TRAIN_THREADS {
-        println!(
-            "bench_gate: host has {cores} core(s) < {TRAIN_THREADS} — speedup ratio not \
-             enforced (bit-identity still checked)"
-        );
-    }
-    Ok(total)
-}
-
-/// Runs the seeded smoke pipeline twice on one telemetry handle, sharing
-/// one evaluation cache + surrogate memo across the runs (both disabled
-/// under `--no-cache`), then runs the [`train_smoke`] phase on the same
-/// handle. Returns (report, pipeline wall seconds, training wall seconds),
-/// or an error if the runs are not bit-identical, (cache on) the saved-EM
-/// fraction falls under [`MIN_SAVED_FRACTION`], or the training smoke
-/// breaks its determinism/speedup contract.
+/// The pipeline's configuration for every smoke, at `threads` workers.
 fn smoke_config(threads: usize) -> IsopConfig {
     IsopConfig {
         harmonica: HarmonicaConfig {
@@ -430,318 +186,362 @@ fn smoke_config(threads: usize) -> IsopConfig {
     }
 }
 
-fn run_smoke(use_cache: bool, journal_dir: &std::path::Path) -> Result<SmokeMeasurement, String> {
+/// Runs T1 on S1 at [`SMOKE_SEED`] through the exact oracle surrogate,
+/// rolling out through `simulator` and recording on `telemetry`, with the
+/// evaluation cache and surrogate memo of `caches` attached (`None`: both
+/// off).
+fn smoke_run(
+    simulator: &dyn EmSimulator,
+    config: IsopConfig,
+    telemetry: &Telemetry,
+    caches: Option<(&EvalCache, &SurrogateMemo)>,
+) -> IsopOutcome {
+    let (cache, memo) = caches.map_or_else(
+        || (EvalCache::disabled(), SurrogateMemo::disabled()),
+        |(cache, memo)| (cache.clone(), memo.clone()),
+    );
     let space = isop::spaces::s1();
     let surrogate = OracleSurrogate::new(AnalyticalSolver::new());
-    let telemetry = Telemetry::enabled();
-    let simulator = AnalyticalSolver::new().with_telemetry(telemetry.clone());
-    let config = smoke_config(SMOKE_THREADS);
-    let cache = if use_cache {
-        EvalCache::new()
-    } else {
-        EvalCache::disabled()
+    let objective = isop::tasks::objective_for(TaskId::T1, vec![]);
+    IsopOptimizer::new(&space, &surrogate, simulator, config)
+        .with_telemetry(telemetry.clone())
+        .with_eval_cache(cache)
+        .with_surrogate_memo(memo)
+        .run(objective, Budget::unlimited(), SMOKE_SEED)
+}
+
+/// The analytical solver behind a [`FaultInjector`] at the smoke's fault
+/// rates (or at rate 0) and [`FAULT_SEED`], both recording on `telemetry`.
+fn faulty_solver(faults: bool, telemetry: &Telemetry) -> FaultInjector<AnalyticalSolver> {
+    let rate = |r: f64| if faults { r } else { 0.0 };
+    FaultInjector::new(
+        AnalyticalSolver::new().with_telemetry(telemetry.clone()),
+        FaultConfig {
+            transient_rate: rate(FAULT_RATE),
+            permanent_rate: rate(FAULT_PERMANENT_RATE),
+            seed: FAULT_SEED,
+        },
+    )
+    .with_telemetry(telemetry.clone())
+}
+
+/// How two outcomes' EM ledgers must agree.
+#[derive(Clone, Copy)]
+enum Ledgers {
+    /// Charged and saved seconds, each bit for bit.
+    Each,
+    /// Only charged + saved, bit for bit: a cache replay moves charged
+    /// seconds into saved ones.
+    Sum,
+}
+
+/// Fails with `what` unless `a` and `b` agree on candidates, success,
+/// resolution and, per `ledgers`, their EM seconds at exact bits.
+fn same_outcome(
+    a: &IsopOutcome,
+    b: &IsopOutcome,
+    ledgers: Ledgers,
+    what: &str,
+) -> Result<(), String> {
+    let ledger = |o: &IsopOutcome| match ledgers {
+        Ledgers::Each => (o.em_seconds.to_bits(), o.em_seconds_saved.to_bits()),
+        Ledgers::Sum => ((o.em_seconds + o.em_seconds_saved).to_bits(), 0),
     };
-    let memo = if use_cache {
-        SurrogateMemo::new()
+    let same = a.candidates == b.candidates
+        && (a.success, &a.resolution, ledger(a)) == (b.success, &b.resolution, ledger(b));
+    if same {
+        Ok(())
     } else {
-        SurrogateMemo::disabled()
+        Err(format!("{what}: outcome diverged"))
+    }
+}
+
+/// Fails with `what` unless two runs of one job agree on candidates, both
+/// EM ledgers at exact bits, success, resolution, disposition and every
+/// per-job counter.
+fn same_job(a: &JobResult, b: &JobResult, what: &str) -> Result<(), String> {
+    let ledger = |j: &JobResult| (j.em_seconds_charged.to_bits(), j.em_seconds_saved.to_bits());
+    let same = a.candidates == b.candidates
+        && ledger(a) == ledger(b)
+        && (a.success, &a.resolution, &a.disposition) == (b.success, &b.resolution, &b.disposition)
+        && a.report.counters == b.report.counters;
+    if same {
+        Ok(())
+    } else {
+        Err(format!("{what}: job '{}' diverged", a.id))
+    }
+}
+
+/// Fails with `what` unless `a` and `b` agree on every counter.
+fn same_counters(a: &Telemetry, b: &Telemetry, what: &str) -> Result<(), String> {
+    match Counter::ALL.iter().find(|&&c| a.counter(c) != b.counter(c)) {
+        Some(c) => Err(format!("{what}: counter {} diverged", c.name())),
+        None => Ok(()),
+    }
+}
+
+/// Adds every counter of `from` to the budgeted handle `main`.
+fn fold_counters(main: &Telemetry, from: &RunReport) {
+    for c in Counter::ALL {
+        main.add(c, from.counter(c.name()));
+    }
+}
+
+/// A fresh per-process scratch directory for `phase`.
+fn scratch_dir(phase: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("isop-bench-{phase}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Opens the store at `dir`, recording on `telemetry`.
+fn open_store(dir: &Path, telemetry: &Telemetry) -> Result<Arc<Store>, String> {
+    let store = Store::open(dir).map_err(|e| format!("open store {}: {e}", dir.display()))?;
+    Ok(Arc::new(store.with_telemetry(telemetry.clone())))
+}
+
+/// The four-job demo of the engine and daemon phases: tenants `acme` and
+/// `blue`, each submitting a fresh space and a rerun of it, so fair
+/// admission at two slots puts the fresh pair in wave 0 and the reruns in
+/// wave 1.
+fn demo_jobs() -> [JobSpec; 4] {
+    let spec = |id: &str, tenant: &str, space: &str| JobSpec {
+        id: id.to_string(),
+        tenant: tenant.to_string(),
+        space: space.to_string(),
+        seed: SMOKE_SEED,
+        threads: SMOKE_THREADS,
+        ..JobSpec::default()
     };
+    [
+        spec("acme-s1", "acme", "s1"),
+        spec("acme-s1-rerun", "acme", "s1"),
+        spec("blue-s2", "blue", "s2"),
+        spec("blue-s2-rerun", "blue", "s2"),
+    ]
+}
+
+/// The job `id` among `jobs`.
+fn find_job<'a>(jobs: &'a [JobResult], id: &str) -> Result<&'a JobResult, String> {
+    jobs.iter()
+        .find(|j| j.id == id)
+        .ok_or_else(|| format!("job '{id}' missing"))
+}
+
+/// The seeded pipeline, run twice on the main handle sharing one
+/// evaluation cache and surrogate memo (both off under `--no-cache`). The
+/// second roll-out is all cache hits, so the runs must agree bit for bit
+/// (candidates and the charged + saved EM sum) and, with the cache on, at
+/// least [`MIN_SAVED_FRACTION`] of all EM seconds must be elided.
+fn pipeline_phase(ctx: &mut Ctx) -> Result<PhaseRun, String> {
+    let (cache, memo) = if ctx.use_cache {
+        (EvalCache::new(), SurrogateMemo::new())
+    } else {
+        (EvalCache::disabled(), SurrogateMemo::disabled())
+    };
+    let simulator = AnalyticalSolver::new().with_telemetry(ctx.main.clone());
     let t0 = Instant::now();
-    let run = || {
-        IsopOptimizer::new(&space, &surrogate, &simulator, config.clone())
-            .with_telemetry(telemetry.clone())
-            .with_eval_cache(cache.clone())
-            .with_surrogate_memo(memo.clone())
-            .run(
-                isop::tasks::objective_for(TaskId::T1, vec![]),
-                Budget::unlimited(),
-                SMOKE_SEED,
-            )
-    };
-    let first = run();
-    let second = run();
-    let wall = t0.elapsed().as_secs_f64();
+    let config = smoke_config(SMOKE_THREADS);
+    let caches = Some((&cache, &memo));
+    let first = smoke_run(&simulator, config.clone(), &ctx.main, caches);
+    let second = smoke_run(&simulator, config, &ctx.main, caches);
+    let wall_seconds = t0.elapsed().as_secs_f64();
 
-    // The cache contract, checked on every gate invocation: a warm cache
-    // must not change a single bit of the outcome.
-    if first.candidates != second.candidates || first.success != second.success {
-        return Err("cache contract violation: repeat run diverged from the first".into());
-    }
-    if (first.em_seconds + first.em_seconds_saved).to_bits()
-        != (second.em_seconds + second.em_seconds_saved).to_bits()
-    {
-        return Err("cache contract violation: charged + saved EM differs between runs".into());
-    }
-    if use_cache {
-        let charged = telemetry.em_seconds();
-        let saved = telemetry.em_seconds_saved();
-        let fraction = saved / (charged + saved);
-        // NaN (0/0: no EM ran at all) must fail too, not just low fractions.
-        if fraction.is_nan() || fraction < MIN_SAVED_FRACTION {
-            return Err(format!(
-                "cache ineffective: saved {saved:.2}s of {:.2}s total EM \
-                 ({:.0}% < {:.0}% required)",
-                charged + saved,
-                fraction * 100.0,
-                MIN_SAVED_FRACTION * 100.0
-            ));
-        }
-        println!(
-            "bench_gate: cache elided {saved:.2}s of {:.2}s EM ({:.0}%)",
+    let what = "cache contract violation: repeat run";
+    same_outcome(&first, &second, Ledgers::Sum, what)?;
+    let charged = ctx.main.em_seconds();
+    let saved = ctx.main.em_seconds_saved();
+    let fraction = saved / (charged + saved);
+    // NaN (0/0: no EM ran at all) must fail too, not just low fractions.
+    if ctx.use_cache && (fraction.is_nan() || fraction < MIN_SAVED_FRACTION) {
+        return Err(format!(
+            "cache ineffective: saved {saved:.2}s of {:.2}s total EM \
+             ({:.0}% < {:.0}% required)",
             charged + saved,
-            fraction * 100.0
-        );
+            fraction * 100.0,
+            MIN_SAVED_FRACTION * 100.0
+        ));
     }
-
-    // Training phase on the same telemetry handle, so `train.chunks` (and
-    // any future training counters) land in the budgeted report.
-    let train_wall = train_smoke(&telemetry)?;
-
-    // Fault-injection phase: runs on scratch handles, then folds the
-    // faulted serial run's counters into the main handle so the retry
-    // budgets land in the gated report.
-    let fault_wall = fault_smoke(&telemetry)?;
-
-    // Scheduler phase: sync-vs-async ledger comparison plus the async
-    // thread-width identity run, folding the async counters into the
-    // main handle so the `em.sched.*` budgets are gated.
-    let sched_wall = sched_smoke(&telemetry)?;
-
-    // Batched-sweep phase: pure-function identity checks, no telemetry.
-    let sweep_wall = sweep_smoke()?;
-
-    // Warm-store phase: cold-vs-warm persistent replay plus the model
-    // registry round-trip, folding the store counters into the main
-    // handle so the `store.*` budgets are gated.
-    let (store_wall, store) = store_smoke(&telemetry)?;
-
-    // Multi-job engine phase: solo-vs-batched bit-identity, cross-job EM
-    // elision, and the serial-vs-concurrent throughput comparison, folding
-    // the serial batch's counters into the main handle so the `engine.*`
-    // budgets are gated.
-    let (engine_wall, engine) = engine_smoke(&telemetry)?;
-
-    // Daemon phase: a live TCP round-trip plus the deterministic
-    // kill-mid-epoch / journal-replay contract, folding the synchronous
-    // legs' counters into the main handle so the `daemon.*` budgets are
-    // gated.
-    let (daemon_wall, daemon) = daemon_smoke(&telemetry, journal_dir)?;
-
-    let mut report = telemetry.run_report();
-    report.task = TaskId::T1.to_string();
-    report.space = "s1".to_string();
-    report.seed = SMOKE_SEED;
-    report.threads = SMOKE_THREADS;
-    report.success = second.success;
-    report.samples_seen = first.samples_seen + second.samples_seen;
-    report.invalid_seen = first.invalid_seen + second.invalid_seen;
-    report.algorithm_seconds = first.algorithm_seconds + second.algorithm_seconds;
-    report.resolution = first.resolution.as_str().to_string();
-    Ok(SmokeMeasurement {
-        report,
-        wall,
-        train_wall,
-        fault_wall,
-        sched_wall,
-        sweep_wall,
-        store_wall,
-        store,
-        engine_wall,
-        engine,
-        daemon_wall,
-        daemon,
+    ctx.smoke = vec![first, second];
+    Ok(PhaseRun {
+        wall_seconds,
+        summary: vec![
+            ("em_charged_seconds", charged),
+            ("em_saved_seconds", saved),
+            ("saved_fraction", fraction),
+        ],
     })
 }
 
-/// The fault-tolerant roll-out's smoke. Four pipeline runs on scratch
-/// telemetry handles (no shared cache, so each roll-out is cold):
-///
-/// 1. a plain run without the fault layer;
-/// 2. a rate-0 run *through* [`FaultInjector`] — must be bit-identical to
-///    (1) in candidates, success, both EM ledgers, and every counter (the
-///    disabled fault layer is invisible);
-/// 3. a faulted run at 1 thread and 4. at 4 threads — the per-design fault
-///    stream must make them bit-identical to each other, with retries and
-///    transient failures actually observed.
-///
-/// Folds run (3)'s counters into `main`, so `em.retries` and friends are
-/// gated by the checked-in counter budgets. Returns the phase wall-clock.
-fn fault_smoke(main: &Telemetry) -> Result<f64, String> {
+/// The data-parallel training engine: a random forest and a dropout MLP
+/// each fit serially and at [`TRAIN_THREADS`] workers on the main handle,
+/// and every parallel fit must predict bit-identically to its serial twin.
+/// On hosts with at least [`TRAIN_THREADS`] cores the forest must also fit
+/// at least [`MIN_TRAIN_SPEEDUP`]x faster in parallel. The phase's wall is
+/// the sum of the fit times.
+fn train_phase(ctx: &mut Ctx) -> Result<PhaseRun, String> {
     let space = isop::spaces::s1();
-    let surrogate = OracleSurrogate::new(AnalyticalSolver::new());
-    let t0 = Instant::now();
-    let run = |rate: f64, permanent: f64, threads: usize, telemetry: &Telemetry| {
-        let solver = AnalyticalSolver::new().with_telemetry(telemetry.clone());
-        let injector = FaultInjector::new(
-            solver,
-            FaultConfig {
-                transient_rate: rate,
-                permanent_rate: permanent,
-                seed: FAULT_SEED,
-            },
-        )
-        .with_telemetry(telemetry.clone());
-        IsopOptimizer::new(&space, &surrogate, &injector, smoke_config(threads))
-            .with_telemetry(telemetry.clone())
-            .run(
-                isop::tasks::objective_for(TaskId::T1, vec![]),
-                Budget::unlimited(),
-                SMOKE_SEED,
-            )
+    let data = generate_dataset(&space, 1200, &AnalyticalSolver::new(), SMOKE_SEED)
+        .map_err(failed("dataset"))?;
+    let serial_ctx = TrainContext::serial().with_telemetry(ctx.main.clone());
+    let par_ctx =
+        TrainContext::new(Parallelism::new(TRAIN_THREADS)).with_telemetry(ctx.main.clone());
+    type NewModel = fn() -> Box<dyn Regressor>;
+    let models: [(&str, NewModel); 2] = [
+        ("forest", || {
+            let tree = TreeConfig {
+                max_depth: 9,
+                ..TreeConfig::default()
+            };
+            Box::new(RandomForest::new(12, tree, SMOKE_SEED))
+        }),
+        ("mlp", || {
+            Box::new(Mlp::new(MlpConfig {
+                hidden: vec![48, 48],
+                epochs: 6,
+                dropout: 0.05,
+                seed: SMOKE_SEED,
+                ..MlpConfig::default()
+            }))
+        }),
+    ];
+    // Fits `model` under `train`; returns its predictions and the seconds.
+    let fit = |model: &mut dyn Regressor, train: &TrainContext| {
+        let t0 = Instant::now();
+        model.fit_with(&data, train).map_err(failed("fit"))?;
+        let seconds = t0.elapsed().as_secs_f64();
+        Ok::<_, String>((model.predict(&data.x).map_err(failed("predict"))?, seconds))
     };
-    let plain_tele = Telemetry::enabled();
-    let plain = {
-        let solver = AnalyticalSolver::new().with_telemetry(plain_tele.clone());
-        IsopOptimizer::new(&space, &surrogate, &solver, smoke_config(SMOKE_THREADS))
-            .with_telemetry(plain_tele.clone())
-            .run(
-                isop::tasks::objective_for(TaskId::T1, vec![]),
-                Budget::unlimited(),
-                SMOKE_SEED,
-            )
-    };
-    let zero_tele = Telemetry::enabled();
-    let zero = run(0.0, 0.0, SMOKE_THREADS, &zero_tele);
-    if zero.candidates != plain.candidates
-        || zero.success != plain.success
-        || zero.em_seconds.to_bits() != plain.em_seconds.to_bits()
-        || zero.em_seconds_saved.to_bits() != plain.em_seconds_saved.to_bits()
-        || zero.resolution != RolloutResolution::Full
-    {
-        return Err("fault transparency violation: rate-0 fault layer changed the outcome".into());
-    }
-    for c in Counter::ALL {
-        if zero_tele.counter(c) != plain_tele.counter(c) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut secs = Vec::new();
+    for (name, model) in models {
+        let (serial, serial_secs) = fit(model().as_mut(), &serial_ctx)?;
+        let (parallel, par_secs) = fit(model().as_mut(), &par_ctx)?;
+        secs.push((serial_secs, par_secs));
+        if serial != parallel {
             return Err(format!(
-                "fault transparency violation: rate-0 fault layer moved counter {}",
-                c.name()
+                "training determinism violation: {name} fit at {TRAIN_THREADS} threads \
+                 diverged from the serial fit"
+            ));
+        }
+        let speedup = serial_secs / par_secs.max(1e-9);
+        if name == "forest" && cores >= TRAIN_THREADS && speedup < MIN_TRAIN_SPEEDUP {
+            return Err(format!(
+                "training speedup regression: forest {speedup:.2}x < \
+                 {MIN_TRAIN_SPEEDUP:.1}x at {TRAIN_THREADS} threads ({cores} cores)"
             ));
         }
     }
-
-    let serial_tele = Telemetry::enabled();
-    let serial = run(FAULT_RATE, FAULT_PERMANENT_RATE, 1, &serial_tele);
-    let wide_tele = Telemetry::enabled();
-    let wide = run(FAULT_RATE, FAULT_PERMANENT_RATE, 4, &wide_tele);
-    if serial.candidates != wide.candidates
-        || serial.resolution != wide.resolution
-        || serial.em_seconds.to_bits() != wide.em_seconds.to_bits()
-        || serial.em_seconds_saved.to_bits() != wide.em_seconds_saved.to_bits()
-    {
-        return Err(
-            "fault determinism violation: faulted outcome diverged between 1 and 4 threads".into(),
-        );
-    }
-    for c in Counter::ALL {
-        if serial_tele.counter(c) != wide_tele.counter(c) {
-            return Err(format!(
-                "fault determinism violation: counter {} diverged between 1 and 4 threads",
-                c.name()
-            ));
-        }
-    }
-    if serial_tele.counter(Counter::EmRetries) == 0
-        || serial_tele.counter(Counter::EmFailuresTransient) == 0
-    {
-        return Err(format!(
-            "fault smoke inert: rate {FAULT_RATE} produced no retries at seed {SMOKE_SEED} — \
-             the retry budgets below gate nothing"
-        ));
-    }
-    for c in Counter::ALL {
-        main.add(c, serial_tele.counter(c));
-    }
-    println!(
-        "bench_gate: fault smoke: rate-0 transparent; 1 vs 4 threads bit-identical \
-         ({} retries, {} transient, {} permanent, {} topped up, resolution {})",
-        serial_tele.counter(Counter::EmRetries),
-        serial_tele.counter(Counter::EmFailuresTransient),
-        serial_tele.counter(Counter::EmFailuresPermanent),
-        serial_tele.counter(Counter::EmToppedUp),
-        serial.resolution
-    );
-    Ok(t0.elapsed().as_secs_f64())
+    Ok(PhaseRun {
+        wall_seconds: secs.iter().map(|(s, p)| s + p).sum(),
+        summary: vec![
+            ("forest_serial_seconds", secs[0].0),
+            ("forest_parallel_seconds", secs[0].1),
+            ("mlp_serial_seconds", secs[1].0),
+            ("mlp_parallel_seconds", secs[1].1),
+            ("host_cores", cores as f64),
+        ],
+    })
 }
 
-/// The async batched scheduler's smoke. Three faulted pipeline runs on
-/// scratch telemetry handles (no shared cache, so every roll-out is cold),
-/// all at the [`FAULT_RATE`]/[`FAULT_PERMANENT_RATE`] fault config:
-///
-/// 1. the synchronous reference schedule at [`SMOKE_THREADS`];
-/// 2. the async batched schedule at 1 thread and 3. at 4 threads.
-///
-/// Gated properties: the two async runs are bit-identical to each other
-/// (candidates, both ledgers, every counter — batch composition is a pure
-/// function of design identity and the logical clock, never thread
-/// arrival order); the async schedule delivers the synchronous schedule's
-/// candidate set; and — because retries genuinely fired — the async
-/// charged ledger lands **strictly below** the synchronous one, whose
-/// per-record retry surcharge and backoff the batch stream absorbs into
-/// shared slots. Folds run (2)'s counters into `main`, so the
-/// `em.sched.*` budgets gate batch-count and slack regressions like any
-/// other counter. Returns the phase wall-clock.
-fn sched_smoke(main: &Telemetry) -> Result<f64, String> {
-    let space = isop::spaces::s1();
-    let surrogate = OracleSurrogate::new(AnalyticalSolver::new());
+/// The fault-tolerant roll-out, in four cold pipeline runs on scratch
+/// handles: a plain run; a rate-0 run through [`FaultInjector`], which
+/// must equal the plain run in outcome, both ledgers and every counter,
+/// and resolve `Full`; and faulted runs at 1 and 4 threads, which must
+/// equal each other in outcome and every counter, with retries and
+/// transient failures actually observed. The 1-thread faulted run's
+/// counters fold into the main handle, so `em.retries` and friends are
+/// budgeted.
+fn fault_phase(ctx: &mut Ctx) -> Result<PhaseRun, String> {
     let t0 = Instant::now();
-    let run = |schedule: RolloutSchedule, threads: usize, telemetry: &Telemetry| {
-        let solver = AnalyticalSolver::new().with_telemetry(telemetry.clone());
-        let injector = FaultInjector::new(
-            solver,
-            FaultConfig {
-                transient_rate: FAULT_RATE,
-                permanent_rate: FAULT_PERMANENT_RATE,
-                seed: FAULT_SEED,
-            },
-        )
-        .with_telemetry(telemetry.clone());
+    let run = |faults: Option<bool>, threads: usize| {
+        let telemetry = Telemetry::enabled();
+        let config = smoke_config(threads);
+        let outcome = match faults {
+            None => {
+                let solver = AnalyticalSolver::new().with_telemetry(telemetry.clone());
+                smoke_run(&solver, config, &telemetry, None)
+            }
+            Some(faults) => smoke_run(&faulty_solver(faults, &telemetry), config, &telemetry, None),
+        };
+        (outcome, telemetry)
+    };
+    let (plain, plain_tele) = run(None, SMOKE_THREADS);
+    let (zero, zero_tele) = run(Some(false), SMOKE_THREADS);
+    let transparency = "fault transparency violation: rate-0 fault layer";
+    same_outcome(&zero, &plain, Ledgers::Each, transparency)?;
+    if zero.resolution != RolloutResolution::Full {
+        return Err(format!("{transparency}: resolution {}", zero.resolution));
+    }
+    same_counters(&zero_tele, &plain_tele, transparency)?;
+
+    let (serial, serial_tele) = run(Some(true), 1);
+    let (wide, wide_tele) = run(Some(true), 4);
+    let determinism = "fault determinism violation: 1 vs 4 threads";
+    same_outcome(&serial, &wide, Ledgers::Each, determinism)?;
+    same_counters(&serial_tele, &wide_tele, determinism)?;
+    let count = |c: Counter| serial_tele.counter(c);
+    if count(Counter::EmRetries) == 0 || count(Counter::EmFailuresTransient) == 0 {
+        return Err(format!(
+            "fault smoke inert: rate {FAULT_RATE} produced no retries at seed {SMOKE_SEED} — \
+             the retry budgets gate nothing"
+        ));
+    }
+    fold_counters(&ctx.main, &serial_tele.run_report());
+    Ok(PhaseRun {
+        wall_seconds: t0.elapsed().as_secs_f64(),
+        summary: vec![
+            ("retries", count(Counter::EmRetries) as f64),
+            (
+                "failures_transient",
+                count(Counter::EmFailuresTransient) as f64,
+            ),
+            (
+                "failures_permanent",
+                count(Counter::EmFailuresPermanent) as f64,
+            ),
+            ("topped_up", count(Counter::EmToppedUp) as f64),
+        ],
+    })
+}
+
+/// The async batched scheduler, in three cold faulted runs on scratch
+/// handles at the [`FAULT_RATE`]/[`FAULT_PERMANENT_RATE`] config: the
+/// synchronous schedule, and the async schedule at 1 and 4 threads. The
+/// async runs must equal each other in outcome and every counter; the
+/// async schedule must deliver the synchronous candidate set; and, with
+/// retries and live batches observed, its charged ledger must land
+/// strictly below the synchronous one. The 1-thread async run's counters
+/// fold into the main handle, so the `em.sched.*` budgets are gated.
+fn sched_phase(ctx: &mut Ctx) -> Result<PhaseRun, String> {
+    let t0 = Instant::now();
+    let run = |schedule: RolloutSchedule, threads: usize| {
+        let telemetry = Telemetry::enabled();
         let config = IsopConfig {
             schedule,
             ..smoke_config(threads)
         };
-        IsopOptimizer::new(&space, &surrogate, &injector, config)
-            .with_telemetry(telemetry.clone())
-            .run(
-                isop::tasks::objective_for(TaskId::T1, vec![]),
-                Budget::unlimited(),
-                SMOKE_SEED,
-            )
+        let outcome = smoke_run(&faulty_solver(true, &telemetry), config, &telemetry, None);
+        (outcome, telemetry)
     };
-    let sync_tele = Telemetry::enabled();
-    let sync = run(RolloutSchedule::Synchronous, SMOKE_THREADS, &sync_tele);
-    let serial_tele = Telemetry::enabled();
-    let serial = run(RolloutSchedule::AsyncBatched, 1, &serial_tele);
-    let wide_tele = Telemetry::enabled();
-    let wide = run(RolloutSchedule::AsyncBatched, 4, &wide_tele);
+    let (sync, _) = run(RolloutSchedule::Synchronous, SMOKE_THREADS);
+    let (serial, serial_tele) = run(RolloutSchedule::AsyncBatched, 1);
+    let (wide, wide_tele) = run(RolloutSchedule::AsyncBatched, 4);
 
-    if serial.candidates != wide.candidates
-        || serial.resolution != wide.resolution
-        || serial.em_seconds.to_bits() != wide.em_seconds.to_bits()
-        || serial.em_seconds_saved.to_bits() != wide.em_seconds_saved.to_bits()
-    {
-        return Err(
-            "scheduler determinism violation: async outcome diverged between 1 and 4 threads"
-                .into(),
-        );
-    }
-    for c in Counter::ALL {
-        if serial_tele.counter(c) != wide_tele.counter(c) {
-            return Err(format!(
-                "scheduler determinism violation: counter {} diverged between 1 and 4 threads",
-                c.name()
-            ));
-        }
-    }
+    let determinism = "scheduler determinism violation: async at 1 vs 4 threads";
+    same_outcome(&serial, &wide, Ledgers::Each, determinism)?;
+    same_counters(&serial_tele, &wide_tele, determinism)?;
     if serial.candidates != sync.candidates || serial.resolution != sync.resolution {
         return Err(
             "scheduler quality violation: async schedule changed the delivered candidate set"
                 .into(),
         );
     }
-    if serial_tele.counter(Counter::EmRetries) == 0 {
+    let count = |c: Counter| serial_tele.counter(c);
+    if count(Counter::EmRetries) == 0 {
         return Err(format!(
             "scheduler smoke inert: rate {FAULT_RATE} produced no retries at seed \
-             {SMOKE_SEED} — the ledger comparison below proves nothing"
+             {SMOKE_SEED} — the ledger comparison proves nothing"
         ));
     }
     if serial.em_seconds >= sync.em_seconds {
@@ -751,26 +551,24 @@ fn sched_smoke(main: &Telemetry) -> Result<f64, String> {
             serial.em_seconds, sync.em_seconds
         ));
     }
-    if serial_tele.counter(Counter::EmSchedBatches) == 0 {
+    if count(Counter::EmSchedBatches) == 0 {
         return Err("scheduler smoke inert: async run formed no live batches".into());
     }
-    for c in Counter::ALL {
-        main.add(c, serial_tele.counter(c));
-    }
-    println!(
-        "bench_gate: sched smoke: async charged {:.2}s < sync {:.2}s at equal candidates; \
-         1 vs 4 threads bit-identical ({} batches, {} slack slots, {} interleaved)",
-        serial.em_seconds,
-        sync.em_seconds,
-        serial_tele.counter(Counter::EmSchedBatches),
-        serial_tele.counter(Counter::EmSchedSlackSlots),
-        serial_tele.counter(Counter::EmSchedInterleaved),
-    );
-    Ok(t0.elapsed().as_secs_f64())
+    fold_counters(&ctx.main, &serial_tele.run_report());
+    Ok(PhaseRun {
+        wall_seconds: t0.elapsed().as_secs_f64(),
+        summary: vec![
+            ("async_em_charged_seconds", serial.em_seconds),
+            ("sync_em_charged_seconds", sync.em_seconds),
+            ("batches", count(Counter::EmSchedBatches) as f64),
+            ("slack_slots", count(Counter::EmSchedSlackSlots) as f64),
+            ("interleaved", count(Counter::EmSchedInterleaved) as f64),
+        ],
+    })
 }
 
 /// Appends the eight re/im bit patterns of a sweep point's four
-/// S-parameters, the unit of the bitwise identity comparisons below.
+/// S-parameters, the unit of the sweep phase's identity comparisons.
 fn collect_sweep_bits(view: isop_em::sweep::SweepView<'_>, out: &mut Vec<u64>) {
     for i in 0..view.len() {
         for s in [view.s11(i), view.s21(i), view.s12(i), view.s22(i)] {
@@ -780,17 +578,15 @@ fn collect_sweep_bits(view: isop_em::sweep::SweepView<'_>, out: &mut Vec<u64>) {
     }
 }
 
-/// The batched sweep's smoke: a fleet of link-level channels (shared
-/// layers, repeated segments, stubbed and back-drilled vias) swept once
-/// through the scalar per-point path and once through a shared cold
-/// [`SweepPlan`](isop_em::sweep::SweepPlan).
-///
-/// Always enforced: the two passes are bit-identical at every (channel,
-/// frequency) point, and lane width 1 equals lane width 4 bit for bit.
-/// Enforced only when the `simd-lanes` feature is compiled in: the batched
-/// pass (interning cost included) is at least [`MIN_SWEEP_SPEEDUP`]x
-/// faster than the scalar pass. Returns the phase wall-clock, seconds.
-fn sweep_smoke() -> Result<f64, String> {
+/// The batched EM frequency sweep: a fleet of link-level channels (shared
+/// layers, repeated segments, stubbed and back-drilled vias) swept through
+/// the scalar per-point path and through one cold
+/// [`SweepPlan`](isop_em::sweep::SweepPlan). The two must agree bit for
+/// bit at every (channel, frequency) point, and lane width 1 must equal
+/// width 4. Only with the `simd-lanes` feature compiled in must the
+/// batched pass, interning included, be at least [`MIN_SWEEP_SPEEDUP`]x
+/// faster than the scalar one.
+fn sweep_phase(_: &mut Ctx) -> Result<PhaseRun, String> {
     use isop_em::channel::{Channel, Element};
     use isop_em::stackup::DiffStripline;
     use isop_em::sweep::{lanes_compiled, LaneWidth, SweepPlan};
@@ -816,7 +612,7 @@ fn sweep_smoke() -> Result<f64, String> {
                 ..Via::default()
             }));
         }
-        channels.push(Channel::new(elems).map_err(|e| format!("sweep smoke channel: {e}"))?);
+        channels.push(Channel::new(elems).map_err(failed("channel"))?);
     }
     let freqs = SweepPlan::log_spaced(1e8, 4e10, SWEEP_POINTS)
         .freqs()
@@ -837,26 +633,20 @@ fn sweep_smoke() -> Result<f64, String> {
     }
     let scalar_secs = t_scalar.elapsed().as_secs_f64();
 
-    // Batched pass through one cold plan (interning cost included).
+    // Batched passes through one cold plan each (interning cost included).
+    let batched = |lanes: LaneWidth| {
+        let mut plan = SweepPlan::log_spaced(1e8, 4e10, SWEEP_POINTS).with_lanes(lanes);
+        let mut bits: Vec<u64> = Vec::with_capacity(scalar_bits.len());
+        plan.sweep_channels(&channels, |_, view| collect_sweep_bits(view, &mut bits));
+        bits
+    };
     let t_batched = Instant::now();
-    let mut plan = SweepPlan::log_spaced(1e8, 4e10, SWEEP_POINTS);
-    let mut batched_bits: Vec<u64> = Vec::with_capacity(scalar_bits.len());
-    plan.sweep_channels(&channels, |_, view| {
-        collect_sweep_bits(view, &mut batched_bits)
-    });
+    let batched_bits = batched(LaneWidth::W4);
     let batched_secs = t_batched.elapsed().as_secs_f64();
-
     if scalar_bits != batched_bits {
         return Err("sweep identity violation: batched sweep diverged from the scalar path".into());
     }
-
-    // Lane-determinism contract: width 1 must reproduce width 4 bit for bit.
-    let mut narrow = SweepPlan::log_spaced(1e8, 4e10, SWEEP_POINTS).with_lanes(LaneWidth::W1);
-    let mut narrow_bits: Vec<u64> = Vec::with_capacity(batched_bits.len());
-    narrow.sweep_channels(&channels, |_, view| {
-        collect_sweep_bits(view, &mut narrow_bits)
-    });
-    if narrow_bits != batched_bits {
+    if batched(LaneWidth::W1) != batched_bits {
         return Err("sweep lane determinism violation: lane width 1 diverged from width 4".into());
     }
 
@@ -867,67 +657,39 @@ fn sweep_smoke() -> Result<f64, String> {
              over the scalar path ({scalar_secs:.3}s vs {batched_secs:.3}s)"
         ));
     }
-    println!(
-        "bench_gate: sweep smoke: {} channels x {SWEEP_POINTS} points bit-identical, \
-         lanes 1 == 4 (scalar {scalar_secs:.3}s, batched {batched_secs:.3}s, {speedup:.2}x{})",
-        channels.len(),
-        if lanes_compiled() {
-            ""
-        } else {
-            "; lanes off — speedup not enforced"
-        }
-    );
-    Ok(t0.elapsed().as_secs_f64())
+    Ok(PhaseRun {
+        wall_seconds: t0.elapsed().as_secs_f64(),
+        summary: vec![
+            ("channels", channels.len() as f64),
+            ("scalar_seconds", scalar_secs),
+            ("batched_seconds", batched_secs),
+            ("speedup", speedup),
+            ("lanes_compiled", f64::from(u8::from(lanes_compiled()))),
+        ],
+    })
 }
 
-/// The persistent store's smoke: the seeded pipeline runs **cold**
-/// against a fresh store directory, then **warm** against the same
-/// directory from fresh handles at 1 and at 4 threads — a separate
-/// process would observe exactly the same bytes, so this is the
-/// cross-run warm-start contract:
-///
-/// 1. the warm candidates, success, and charged+saved ledger sum are
-///    bit-identical to the cold run's, with the replay eliding at least
-///    [`STORE_MIN_ELIDED_FRACTION`] of the cold charged EM seconds and
-///    at least one record served as a cross-job hit;
-/// 2. the two warm widths agree bit for bit — candidates, both ledgers,
-///    every counter (store hydration sits in the serial probe path, so
-///    thread width cannot reorder it);
-/// 3. a zoo surrogate fitted through the model registry reloads warm
-///    with **zero** training work — no `ml.fit.*` span, `train.chunks`
-///    still 0 on the warm handle — and predicts bit-identically.
-///
-/// Folds the cold and warm-serial handles' counters into `main` so the
-/// `store.*` read/write volumes (and the registry hit/miss split) are
-/// budgeted like any other counter. Returns the phase wall-clock and the
-/// cold-vs-warm summary for `BENCH_pr8.json`.
-fn store_smoke(main: &Telemetry) -> Result<(f64, StoreSmokeSummary), String> {
-    let space = isop::spaces::s1();
-    let surrogate = OracleSurrogate::new(AnalyticalSolver::new());
+/// The persistent store and model registry. The seeded pipeline runs cold
+/// against a fresh store directory, then warm from fresh handles at 1 and
+/// 4 threads (what a second process would see). The warm runs must
+/// replay the cold candidates, success and charged + saved ledger sum bit
+/// for bit while eliding at least [`STORE_MIN_ELIDED_FRACTION`] of the
+/// cold charged EM seconds with at least one cross-job hit, and the two
+/// warm widths must agree on the outcome and every counter. A zoo
+/// surrogate fitted through the registry must reload warm with no
+/// training work (no `ml.fit.*` span, `train.chunks` = 0) and predict
+/// bit-identically. The cold, warm-serial and zoo handles' counters fold
+/// into the main handle, so the `store.*` volumes are budgeted.
+fn store_phase(ctx: &mut Ctx) -> Result<PhaseRun, String> {
     let t0 = Instant::now();
-    let dir = std::env::temp_dir().join(format!("isop-bench-store-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-
+    let dir = scratch_dir("store");
     let run = |threads: usize, telemetry: &Telemetry, persist: bool| {
-        let store = Arc::new(
-            Store::open(&dir)
-                .map_err(|e| format!("store smoke: open {}: {e}", dir.display()))?
-                .with_telemetry(telemetry.clone()),
-        );
-        let cache = EvalCache::with_store(Arc::clone(&store));
+        let cache = EvalCache::with_store(open_store(&dir, telemetry)?);
         let solver = AnalyticalSolver::new().with_telemetry(telemetry.clone());
-        let outcome = IsopOptimizer::new(&space, &surrogate, &solver, smoke_config(threads))
-            .with_telemetry(telemetry.clone())
-            .with_eval_cache(cache.clone())
-            .run(
-                isop::tasks::objective_for(TaskId::T1, vec![]),
-                Budget::unlimited(),
-                SMOKE_SEED,
-            );
+        let caches = Some((&cache, &SurrogateMemo::disabled()));
+        let outcome = smoke_run(&solver, smoke_config(threads), telemetry, caches);
         if persist {
-            cache
-                .persist()
-                .map_err(|e| format!("store smoke: flush: {e}"))?;
+            cache.persist().map_err(failed("flush"))?;
         }
         Ok::<_, String>(outcome)
     };
@@ -940,42 +702,41 @@ fn store_smoke(main: &Telemetry) -> Result<(f64, StoreSmokeSummary), String> {
         return Err("store smoke inert: the cold run charged no EM seconds".into());
     }
 
-    // Cold zoo fit through the registry, persisted next to the eval
-    // records (serial training context so the folded `train.*` counters
-    // stay host-independent).
+    // Fits a small MLP through the registry (or loads it warm), persisting
+    // a fresh fit, and returns whether it was a registry hit plus the bits
+    // of its predictions. The serial training context keeps the folded
+    // `train.*` counters host-independent.
+    let space = isop::spaces::s1();
     let data = generate_dataset(&space, 300, &AnalyticalSolver::new(), SMOKE_SEED)
-        .map_err(|e| format!("store smoke dataset: {e:?}"))?;
-    let zoo_mlp = || {
-        Mlp::new(MlpConfig {
+        .map_err(failed("dataset"))?;
+    let zoo_fit = |telemetry: &Telemetry| {
+        let registry = ModelRegistry::new(open_store(&dir, telemetry)?);
+        let zoo = isop::surrogate::ModelZoo::new(Parallelism::serial())
+            .with_telemetry(telemetry.clone())
+            .with_registry(registry.with_telemetry(telemetry.clone()));
+        let mlp = Mlp::new(MlpConfig {
             hidden: vec![16, 16],
             epochs: 4,
             seed: SMOKE_SEED,
             ..MlpConfig::default()
-        })
+        });
+        let (s, hit) = zoo
+            .fit_neural_registered(STORE_ZOO_SPACE_ID, mlp, &data)
+            .map_err(failed("zoo fit"))?;
+        if !hit {
+            let registry = zoo.registry().expect("registry attached above");
+            registry.persist().map_err(failed("zoo flush"))?;
+        }
+        let pred = Regressor::predict(s.model(), &data.x).map_err(failed("zoo predict"))?;
+        let bits: Vec<u64> = pred.as_slice().iter().map(|v| v.to_bits()).collect();
+        Ok::<_, String>((hit, bits))
     };
     let t_fit_cold = Instant::now();
-    let cold_pred = {
-        let store = Arc::new(
-            Store::open(&dir)
-                .map_err(|e| format!("store smoke: reopen for zoo: {e}"))?
-                .with_telemetry(cold_tele.clone()),
-        );
-        let zoo = isop::surrogate::ModelZoo::new(Parallelism::serial())
-            .with_telemetry(cold_tele.clone())
-            .with_registry(ModelRegistry::new(store).with_telemetry(cold_tele.clone()));
-        let (s, hit) = zoo
-            .fit_neural_registered(STORE_ZOO_SPACE_ID, zoo_mlp(), &data)
-            .map_err(|e| format!("store smoke: cold zoo fit: {e:?}"))?;
-        if hit {
-            return Err("store smoke: cold zoo fit was served from an empty store".into());
-        }
-        zoo.registry()
-            .expect("registry attached above")
-            .persist()
-            .map_err(|e| format!("store smoke: zoo flush: {e}"))?;
-        isop_ml::Regressor::predict(s.model(), &data.x).map_err(|e| format!("{e:?}"))?
-    };
+    let (cold_hit, cold_pred) = zoo_fit(&cold_tele)?;
     let cold_fit_wall = t_fit_cold.elapsed().as_secs_f64();
+    if cold_hit {
+        return Err("store smoke: cold zoo fit was served from an empty store".into());
+    }
 
     // Warm replays from fresh handles (no persist: the store stays
     // byte-identical between the two widths, and a full-hit replay has
@@ -987,16 +748,8 @@ fn store_smoke(main: &Telemetry) -> Result<(f64, StoreSmokeSummary), String> {
     let wide_tele = Telemetry::enabled();
     let wide = run(4, &wide_tele, false)?;
 
-    if warm.candidates != cold.candidates || warm.success != cold.success {
-        return Err("store replay violation: warm run diverged from the cold run".into());
-    }
-    if (warm.em_seconds + warm.em_seconds_saved).to_bits()
-        != (cold.em_seconds + cold.em_seconds_saved).to_bits()
-    {
-        return Err(
-            "store replay violation: charged + saved EM differs between cold and warm".into(),
-        );
-    }
+    let replay = "store replay violation: warm vs cold";
+    same_outcome(&warm, &cold, Ledgers::Sum, replay)?;
     let elided = 1.0 - warm.em_seconds / cold.em_seconds;
     if elided < STORE_MIN_ELIDED_FRACTION {
         return Err(format!(
@@ -1008,212 +761,107 @@ fn store_smoke(main: &Telemetry) -> Result<(f64, StoreSmokeSummary), String> {
             STORE_MIN_ELIDED_FRACTION * 100.0
         ));
     }
-    if warm_tele.counter(Counter::StoreCrossJobHits) == 0 {
+    let cross_job_hits = warm_tele.counter(Counter::StoreCrossJobHits);
+    if cross_job_hits == 0 {
         return Err("store smoke inert: warm run observed no cross-job hits".into());
     }
-    if warm.candidates != wide.candidates
-        || warm.em_seconds.to_bits() != wide.em_seconds.to_bits()
-        || warm.em_seconds_saved.to_bits() != wide.em_seconds_saved.to_bits()
-    {
-        return Err(
-            "store determinism violation: warm outcome diverged between 1 and 4 threads".into(),
-        );
-    }
-    for c in Counter::ALL {
-        if warm_tele.counter(c) != wide_tele.counter(c) {
-            return Err(format!(
-                "store determinism violation: counter {} diverged between 1 and 4 threads",
-                c.name()
-            ));
-        }
-    }
+    let determinism = "store determinism violation: warm at 1 vs 4 threads";
+    same_outcome(&warm, &wide, Ledgers::Each, determinism)?;
+    same_counters(&warm_tele, &wide_tele, determinism)?;
 
-    // Warm zoo load: zero training work, bit-identical predictions.
     let zoo_tele = Telemetry::enabled();
     let t_fit_warm = Instant::now();
-    {
-        let store = Arc::new(
-            Store::open(&dir)
-                .map_err(|e| format!("store smoke: reopen warm zoo: {e}"))?
-                .with_telemetry(zoo_tele.clone()),
-        );
-        let zoo = isop::surrogate::ModelZoo::new(Parallelism::serial())
-            .with_telemetry(zoo_tele.clone())
-            .with_registry(ModelRegistry::new(store).with_telemetry(zoo_tele.clone()));
-        let (s, hit) = zoo
-            .fit_neural_registered(STORE_ZOO_SPACE_ID, zoo_mlp(), &data)
-            .map_err(|e| format!("store smoke: warm zoo load: {e:?}"))?;
-        if !hit {
-            return Err(
-                "store registry violation: warm zoo fit retrained instead of loading".into(),
-            );
-        }
-        let warm_pred =
-            isop_ml::Regressor::predict(s.model(), &data.x).map_err(|e| format!("{e:?}"))?;
-        for r in 0..cold_pred.rows() {
-            for (a, b) in cold_pred.row(r).iter().zip(warm_pred.row(r)) {
-                if a.to_bits() != b.to_bits() {
-                    return Err(
-                        "store registry violation: warm surrogate predictions diverged".into(),
-                    );
-                }
-            }
-        }
-    }
+    let (warm_hit, warm_pred) = zoo_fit(&zoo_tele)?;
     let warm_fit_wall = t_fit_warm.elapsed().as_secs_f64();
+    if !warm_hit {
+        return Err("store registry violation: warm zoo fit retrained instead of loading".into());
+    }
+    if warm_pred != cold_pred {
+        return Err("store registry violation: warm surrogate predictions diverged".into());
+    }
     let zoo_report = zoo_tele.run_report();
-    if zoo_report.counter("train.chunks") != 0
-        || zoo_report
-            .spans
-            .iter()
-            .any(|s| s.name.starts_with("ml.fit."))
-    {
+    let fit_spans = zoo_report
+        .spans
+        .iter()
+        .filter(|s| s.name.starts_with("ml.fit."));
+    if zoo_report.counter("train.chunks") != 0 || fit_spans.count() != 0 {
         return Err("store registry violation: warm zoo load performed training work".into());
     }
 
-    for c in Counter::ALL {
-        main.add(c, cold_tele.counter(c));
-        main.add(c, warm_tele.counter(c));
-        main.add(c, zoo_tele.counter(c));
-    }
+    fold_counters(&ctx.main, &cold_tele.run_report());
+    fold_counters(&ctx.main, &warm_tele.run_report());
+    fold_counters(&ctx.main, &zoo_report);
     std::fs::remove_dir_all(&dir).ok();
-    println!(
-        "bench_gate: store smoke: warm replay elided {:.0}% of {:.2}s cold EM \
-         ({} cross-job hits), zoo reload {:.3}s vs {:.3}s cold fit, \
-         1 vs 4 threads bit-identical",
-        elided * 100.0,
-        cold.em_seconds,
-        warm_tele.counter(Counter::StoreCrossJobHits),
-        warm_fit_wall,
-        cold_fit_wall,
-    );
-    Ok((
-        t0.elapsed().as_secs_f64(),
-        StoreSmokeSummary {
-            cold_wall_seconds: cold_wall,
-            warm_wall_seconds: warm_wall,
-            cold_em_charged_seconds: cold.em_seconds,
-            warm_em_charged_seconds: warm.em_seconds,
-            warm_em_saved_seconds: warm.em_seconds_saved,
-            warm_cross_job_hits: warm_tele.counter(Counter::StoreCrossJobHits),
-            cold_fit_wall_seconds: cold_fit_wall,
-            warm_fit_wall_seconds: warm_fit_wall,
-        },
-    ))
+    Ok(PhaseRun {
+        wall_seconds: t0.elapsed().as_secs_f64(),
+        summary: vec![
+            ("cold_wall_seconds", cold_wall),
+            ("warm_wall_seconds", warm_wall),
+            ("cold_em_charged_seconds", cold.em_seconds),
+            ("warm_em_charged_seconds", warm.em_seconds),
+            ("warm_em_saved_seconds", warm.em_seconds_saved),
+            ("warm_cross_job_hits", cross_job_hits as f64),
+            ("cold_fit_wall_seconds", cold_fit_wall),
+            ("warm_fit_wall_seconds", warm_fit_wall),
+        ],
+    })
 }
 
-/// Compares one job's outcome across two engine runs: candidates, both EM
-/// ledgers at exact bits, resolution, and every per-job counter.
-fn engine_jobs_identical(a: &isop::engine::JobResult, b: &isop::engine::JobResult) -> bool {
-    a.candidates == b.candidates
-        && a.em_seconds_charged.to_bits() == b.em_seconds_charged.to_bits()
-        && a.em_seconds_saved.to_bits() == b.em_seconds_saved.to_bits()
-        && a.success == b.success
-        && a.resolution == b.resolution
-        && a.report.counters == b.report.counters
-}
-
-/// The multi-job engine's smoke. A four-job mixed-space batch — tenants
-/// `acme` and `blue`, each submitting a fresh space and a rerun of it, so
-/// fair admission at two slots puts the fresh pair in wave 0 and the
-/// reruns in wave 1 — runs three ways against fresh store directories:
-///
-/// 1. job `acme-s1` **solo** (the reference the identity clause compares
-///    against);
-/// 2. the batch **serially**: one core permit, one wave slot;
-/// 3. the batch **concurrently**: host cores, two wave slots.
-///
-/// Always enforced: the solo job is bit-identical — candidates, ledgers,
-/// every per-job counter — to the same job inside both batches; the rerun
-/// jobs charge zero EM seconds (served entirely from wave 0's flushed
-/// records, observed as cross-job hits); and the permit high-water mark
-/// respects the budget. On hosts with at least [`ENGINE_SPEEDUP_CORES`]
-/// cores the concurrent batch must additionally beat the serial batch by
-/// [`MIN_ENGINE_SPEEDUP`]x wall-clock. Folds the serial batch's per-job
-/// and engine/store counters into `main` so the `engine.*` wave/job
-/// counts and the batch's EM volumes are budgeted. Returns the phase
-/// wall-clock and the serial-vs-concurrent summary for `BENCH_pr9.json`.
-fn engine_smoke(main: &Telemetry) -> Result<(f64, EngineSmokeSummary), String> {
-    use isop::engine::{Engine, EngineConfig};
-    use isop::jobs::{JobQueue, JobSpec};
-
+/// The multi-job engine. The four-job demo runs against fresh store
+/// directories three ways: job `acme-s1` solo, the batch serially (one
+/// core permit, one wave slot), and the batch concurrently (host cores,
+/// two wave slots). The solo job must equal the same job inside both
+/// batches ([`same_job`]); the concurrent batch must form two waves whose
+/// reruns charge zero EM seconds through cross-job store hits; and the
+/// peak leased permits must respect each grant. Only on hosts with at
+/// least [`ENGINE_SPEEDUP_CORES`] cores must the concurrent batch beat the
+/// serial one by [`MIN_ENGINE_SPEEDUP`]x. The serial batch's engine handle
+/// and per-job reports fold into the main handle.
+fn engine_phase(ctx: &mut Ctx) -> Result<PhaseRun, String> {
     let t0 = Instant::now();
-    let scratch = std::env::temp_dir().join(format!("isop-bench-engine-{}", std::process::id()));
-    std::fs::remove_dir_all(&scratch).ok();
-    let spec = |id: &str, tenant: &str, space: &str| JobSpec {
-        id: id.to_string(),
-        tenant: tenant.to_string(),
-        space: space.to_string(),
-        seed: SMOKE_SEED,
-        threads: SMOKE_THREADS,
-        ..JobSpec::default()
-    };
-    let batch = [
-        spec("acme-s1", "acme", "s1"),
-        spec("acme-s1-rerun", "acme", "s1"),
-        spec("blue-s2", "blue", "s2"),
-        spec("blue-s2-rerun", "blue", "s2"),
-    ];
+    let scratch = scratch_dir("engine");
+    let batch = demo_jobs();
+    // Runs `specs` on a fresh store; returns the report, handle and wall.
     let run = |label: &str, specs: &[JobSpec], cores: usize, wave_slots: usize| {
-        let mut queue = JobQueue::new();
-        for s in specs {
-            queue.push(s.clone());
-        }
+        let t = Instant::now();
+        let queue = JobQueue::from_specs(specs.to_vec());
         let telemetry = Telemetry::enabled();
-        let store = Arc::new(
-            Store::open(&scratch.join(label))
-                .map_err(|e| format!("engine smoke: open {label} store: {e}"))?
-                .with_telemetry(telemetry.clone()),
-        );
+        let store = open_store(&scratch.join(label), &telemetry)?;
+        let pipeline = smoke_config(SMOKE_THREADS);
         let report = Engine::new(EngineConfig {
             cores,
             wave_slots,
-            pipeline: smoke_config(SMOKE_THREADS),
+            pipeline,
         })
         .with_telemetry(telemetry.clone())
         .with_store(store)
         .run(&queue)
-        .map_err(|e| format!("engine smoke: {label} run: {e}"))?;
-        Ok::<_, String>((report, telemetry))
+        .map_err(|e| format!("{label} run: {e}"))?;
+        Ok::<_, String>((report, telemetry, t.elapsed().as_secs_f64()))
     };
 
-    let (solo, _) = run("solo", &batch[..1], 1, 1)?;
-    let t_serial = Instant::now();
-    let (serial, serial_tele) = run("serial", &batch, 1, 1)?;
-    let serial_wall = t_serial.elapsed().as_secs_f64();
+    let (solo, ..) = run("solo", &batch[..1], 1, 1)?;
+    let (serial, serial_tele, serial_wall) = run("serial", &batch, 1, 1)?;
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let t_conc = Instant::now();
-    let (concurrent, _) = run("concurrent", &batch, host_cores, 2)?;
-    let concurrent_wall = t_conc.elapsed().as_secs_f64();
+    let (concurrent, _, concurrent_wall) = run("concurrent", &batch, host_cores, 2)?;
     std::fs::remove_dir_all(&scratch).ok();
 
     // Identity clause: the wave-0 job must not feel its batch at all.
-    let find = |rep: &isop::engine::EngineReport, id: &str| {
-        rep.jobs
-            .iter()
-            .find(|j| j.id == id)
-            .cloned()
-            .ok_or_else(|| format!("engine smoke: job '{id}' missing"))
-    };
-    let reference = find(&solo, "acme-s1")?;
+    let reference = find_job(&solo.jobs, "acme-s1")?;
     for (label, rep) in [("serial", &serial), ("concurrent", &concurrent)] {
-        if !engine_jobs_identical(&reference, &find(rep, "acme-s1")?) {
-            return Err(format!(
-                "engine identity violation: acme-s1 in the {label} batch diverged from \
-                 running solo"
-            ));
-        }
+        let what = format!("engine identity violation: {label} batch vs solo");
+        same_job(reference, find_job(&rep.jobs, "acme-s1")?, &what)?;
     }
 
     // Elision clause: wave 1's reruns run entirely off wave 0's records.
     if concurrent.waves != 2 {
         return Err(format!(
-            "engine smoke: expected 2 admission waves, got {}",
+            "expected 2 admission waves, got {}",
             concurrent.waves
         ));
     }
     for id in ["acme-s1-rerun", "blue-s2-rerun"] {
-        let rerun = find(&concurrent, id)?;
+        let rerun = find_job(&concurrent.jobs, id)?;
         if rerun.em_seconds_charged.to_bits() != 0f64.to_bits() || rerun.em_seconds_saved <= 0.0 {
             return Err(format!(
                 "engine elision violation: {id} charged {:.2}s EM despite an identical \
@@ -1244,165 +892,133 @@ fn engine_smoke(main: &Telemetry) -> Result<(f64, EngineSmokeSummary), String> {
 
     // Budget fold: the serial batch's engine handle (engine.* + store.*)
     // plus each per-job report — all deterministic in serial admission.
-    for c in Counter::ALL {
-        main.add(c, serial_tele.counter(c));
-        for job in &serial.jobs {
-            main.add(c, job.report.counter(c.name()));
-        }
+    fold_counters(&ctx.main, &serial_tele.run_report());
+    for job in &serial.jobs {
+        fold_counters(&ctx.main, &job.report);
     }
-    println!(
-        "bench_gate: engine smoke: 4-job batch serial {serial_wall:.2}s vs concurrent \
-         {concurrent_wall:.2}s ({speedup:.2}x{}); reruns elided {:.2}s EM via {} cross-job \
-         hits; solo == batched bit for bit",
-        if host_cores >= ENGINE_SPEEDUP_CORES {
-            ""
-        } else {
-            "; few cores — ratio not enforced"
-        },
-        concurrent.em_seconds_saved,
-        concurrent.cross_job_hits
-    );
-    Ok((
-        t0.elapsed().as_secs_f64(),
-        EngineSmokeSummary {
-            host_cores,
-            serial_wall_seconds: serial_wall,
-            concurrent_wall_seconds: concurrent_wall,
-            speedup,
-            em_seconds_charged: concurrent.em_seconds_charged,
-            em_seconds_saved: concurrent.em_seconds_saved,
-            cross_job_hits: concurrent.cross_job_hits,
-            peak_core_permits: concurrent.peak_core_permits,
-            waves: concurrent.waves,
-        },
-    ))
+    Ok(PhaseRun {
+        wall_seconds: t0.elapsed().as_secs_f64(),
+        summary: vec![
+            ("host_cores", host_cores as f64),
+            ("serial_wall_seconds", serial_wall),
+            ("concurrent_wall_seconds", concurrent_wall),
+            ("speedup", speedup),
+            ("em_seconds_charged", concurrent.em_seconds_charged),
+            ("em_seconds_saved", concurrent.em_seconds_saved),
+            ("cross_job_hits", concurrent.cross_job_hits as f64),
+            ("peak_core_permits", concurrent.peak_core_permits as f64),
+            ("waves", concurrent.waves as f64),
+        ],
+    })
 }
 
-/// The live daemon's smoke, in two legs.
+/// The live daemon, in two legs.
 ///
 /// **TCP leg**: a real [`Daemon`] serves a loopback socket; the four-job
 /// demo streams in as NDJSON `submit` lines, `status` is polled until all
-/// four jobs finish, and `shutdown` drains the daemon. Proves the wire
-/// path end to end — every response must be `"ok":true` and the journal
-/// must hold a `Finished` frame per job. (Epoch composition on this leg
-/// depends on request timing, so it asserts liveness, not bit-identity.)
+/// four jobs finish, and `shutdown` drains the daemon. Every response must
+/// be `"ok":true` and the journal must hold a `Finished` frame per job.
+/// (Epoch composition here depends on request timing, so this leg asserts
+/// liveness, not bit-identity.)
 ///
 /// **Kill/restart leg**, driven synchronously so the epoch layout is
-/// deterministic: a victim daemon takes the same four jobs in one
-/// two-wave epoch and dies mid-epoch via the chaos knob — immediately
-/// after wave 1's safe-point journal flush, the worst crash window the
-/// safety invariant allows. A restarted daemon on the same store must
-/// recover exactly two replayed and two resumed jobs and finish the epoch
-/// bit-identically to a never-killed reference daemon — candidates, both
-/// EM ledgers, every per-job counter — with exactly one `Finished` frame
-/// per job in the journal, i.e. zero double-charged EM seconds. Folds the
-/// synchronous legs' counters into `main` so the `daemon.*` volumes are
-/// budgeted, and copies the recovered journal's shards into `journal_dir`
-/// so CI can upload the exact frames the replay identity was proven from.
-/// Returns the phase wall-clock and the `BENCH_pr10.json` summary.
-fn daemon_smoke(
-    main: &Telemetry,
-    journal_dir: &std::path::Path,
-) -> Result<(f64, DaemonSmokeSummary), String> {
-    use isop::jobs::JobSpec;
+/// deterministic: a victim daemon takes the four jobs in one two-wave
+/// epoch and dies via the chaos knob right after wave 1's safe-point
+/// journal flush, the worst crash window the safety invariant allows. A
+/// restarted daemon on the same store must recover exactly two replayed
+/// and two resumed jobs and finish every job like a never-killed daemon
+/// ([`same_job`]), with exactly one `Finished` frame per job and a charged
+/// ledger equal to the calm one bit for bit: zero double-charged EM
+/// seconds. The synchronous legs' counters fold into the main handle, and
+/// the recovered journal's shards are copied to the context's journal
+/// directory for the CI artifact.
+fn daemon_phase(ctx: &mut Ctx) -> Result<PhaseRun, String> {
     use isop_store::JobState;
-    use serde::json::Value;
     use std::io::{BufRead, BufReader, Write};
     use std::net::{TcpListener, TcpStream};
 
     let t0 = Instant::now();
-    let scratch = std::env::temp_dir().join(format!("isop-bench-daemon-{}", std::process::id()));
-    std::fs::remove_dir_all(&scratch).ok();
-
-    let spec = |id: &str, tenant: &str, space: &str| JobSpec {
-        id: id.to_string(),
-        tenant: tenant.to_string(),
-        space: space.to_string(),
-        seed: SMOKE_SEED,
-        threads: SMOKE_THREADS,
-        ..JobSpec::default()
-    };
-    let demo = [
-        spec("acme-s1", "acme", "s1"),
-        spec("acme-s1-rerun", "acme", "s1"),
-        spec("blue-s2", "blue", "s2"),
-        spec("blue-s2-rerun", "blue", "s2"),
-    ];
+    let scratch = scratch_dir("daemon");
+    let demo = demo_jobs();
     let build = |label: &str, chaos: u64, telemetry: &Telemetry| -> Result<Daemon, String> {
-        let store = Arc::new(
-            Store::open(&scratch.join(label))
-                .map_err(|e| format!("daemon smoke: open {label} store: {e}"))?
-                .with_telemetry(telemetry.clone()),
-        );
+        let engine = EngineConfig {
+            cores: SMOKE_THREADS,
+            wave_slots: 2,
+            pipeline: smoke_config(SMOKE_THREADS),
+        };
         Ok(Daemon::new(DaemonConfig {
-            engine: isop::engine::EngineConfig {
-                cores: SMOKE_THREADS,
-                wave_slots: 2,
-                pipeline: smoke_config(SMOKE_THREADS),
-            },
+            engine,
             chaos_crash_after_waves: chaos,
             ..DaemonConfig::default()
         })
-        .with_store(store)
+        .with_store(open_store(&scratch.join(label), telemetry)?)
         .with_telemetry(telemetry.clone()))
+    };
+    // The `Finished` frames of the `label` store's job journal.
+    let finished_frames = |label: &str| {
+        let frames = Store::open(&scratch.join(label))
+            .and_then(|store| store.load_jobs())
+            .map_err(|e| format!("{label} journal: {e}"))?;
+        let finished = frames.into_iter().filter(|f| f.state == JobState::Finished);
+        Ok::<_, String>(finished.collect::<Vec<_>>())
+    };
+    let submit_all = |daemon: &Daemon, label: &str| {
+        for s in &demo {
+            let response = daemon.handle_request(Request::Submit(s.clone()));
+            if let Some(kind) = response.error_kind() {
+                return Err(format!("{label} daemon refused '{}': {kind}", s.id));
+            }
+        }
+        Ok(())
+    };
+    let drain = |daemon: &Daemon, label: &str| {
+        let mut jobs = Vec::new();
+        let epoch = || {
+            daemon
+                .run_next_epoch()
+                .map_err(|e| format!("{label} epoch: {e}"))
+        };
+        while let Some((_, report)) = epoch()? {
+            jobs.extend(report.jobs);
+        }
+        Ok::<_, String>(jobs)
     };
 
     // TCP leg: stream the demo over a real socket and drain it.
     let t_tcp = Instant::now();
-    let tcp_tele = Telemetry::enabled();
-    let tcp_daemon = Arc::new(build("live", 0, &tcp_tele)?);
-    let listener =
-        TcpListener::bind("127.0.0.1:0").map_err(|e| format!("daemon smoke: bind: {e}"))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("daemon smoke: local addr: {e}"))?;
+    let tcp_daemon = Arc::new(build("live", 0, &Telemetry::enabled())?);
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(failed("bind"))?;
+    let addr = listener.local_addr().map_err(failed("local addr"))?;
     std::thread::scope(|scope| -> Result<(), String> {
         let server = {
             let daemon = Arc::clone(&tcp_daemon);
             scope.spawn(move || daemon.serve(listener))
         };
-        let stream = TcpStream::connect(addr).map_err(|e| format!("daemon smoke: connect: {e}"))?;
-        let mut writer = stream
-            .try_clone()
-            .map_err(|e| format!("daemon smoke: clone stream: {e}"))?;
+        let stream = TcpStream::connect(addr).map_err(failed("connect"))?;
+        let mut writer = stream.try_clone().map_err(failed("clone stream"))?;
         let mut reader = BufReader::new(stream);
         let mut line = String::new();
         let mut ask = |request: &str| -> Result<Value, String> {
-            writer
-                .write_all(request.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .map_err(|e| format!("daemon smoke: send: {e}"))?;
+            writeln!(writer, "{request}").map_err(failed("send"))?;
             line.clear();
-            reader
-                .read_line(&mut line)
-                .map_err(|e| format!("daemon smoke: read: {e}"))?;
+            reader.read_line(&mut line).map_err(failed("read"))?;
             let value = Value::parse(line.trim())
-                .map_err(|e| format!("daemon smoke: bad response '{}': {e}", line.trim()))?;
-            let ok = matches!(
-                value.as_obj().map(|o| Value::field(o, "ok")),
-                Some(Value::Bool(true))
-            );
-            if !ok {
-                return Err(format!("daemon smoke: refused: {}", line.trim()));
+                .map_err(|e| format!("bad response '{}': {e}", line.trim()))?;
+            let ok = value.as_obj().map(|o| Value::field(o, "ok"));
+            if matches!(ok, Some(Value::Bool(true))) {
+                Ok(value)
+            } else {
+                Err(format!("refused: {}", line.trim()))
             }
-            Ok(value)
         };
         for s in &demo {
-            ask(&format!(
-                r#"{{"op":"submit","job":{}}}"#,
-                s.to_value().to_json_string()
-            ))?;
+            let job = s.to_value().to_json_string();
+            ask(&format!(r#"{{"op":"submit","job":{job}}}"#))?;
         }
         loop {
             let status = ask(r#"{"op":"status"}"#)?;
-            let finished = status
-                .as_obj()
-                .and_then(|o| match Value::field(o, "finished") {
-                    Value::Num(n) => Some(*n),
-                    _ => None,
-                })
-                .unwrap_or(0.0);
-            if finished as usize >= demo.len() {
+            let finished = status.as_obj().map(|o| Value::field(o, "finished"));
+            if matches!(finished, Some(Value::Num(n)) if *n as usize >= demo.len()) {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(50));
@@ -1410,23 +1026,14 @@ fn daemon_smoke(
         ask(r#"{"op":"shutdown"}"#)?;
         drop(writer);
         drop(reader);
-        server
-            .join()
-            .map_err(|_| "daemon smoke: server thread panicked".to_string())?
-            .map_err(|e| format!("daemon smoke: serve: {e}"))
+        let served = server.join().map_err(|_| "server thread panicked")?;
+        served.map_err(failed("serve"))
     })?;
     drop(tcp_daemon);
-    let tcp_frames = Store::open(&scratch.join("live"))
-        .map_err(|e| format!("daemon smoke: reopen live store: {e}"))?
-        .load_jobs()
-        .map_err(|e| format!("daemon smoke: live journal: {e}"))?;
-    let tcp_finished = tcp_frames
-        .iter()
-        .filter(|f| f.state == JobState::Finished)
-        .count() as u64;
-    if tcp_finished != demo.len() as u64 {
+    let tcp_finished = finished_frames("live")?.len();
+    if tcp_finished != demo.len() {
         return Err(format!(
-            "daemon smoke: TCP leg journaled {tcp_finished} Finished frames, expected {}",
+            "TCP leg journaled {tcp_finished} Finished frames, expected {}",
             demo.len()
         ));
     }
@@ -1436,97 +1043,47 @@ fn daemon_smoke(
     let t_recovery = Instant::now();
     let victim_tele = Telemetry::enabled();
     let victim = build("crash", 1, &victim_tele)?;
-    for s in &demo {
-        let response = victim.handle_request(Request::Submit(s.clone()));
-        if let Some(kind) = response.error_kind() {
-            return Err(format!("daemon smoke: victim refused '{}': {kind}", s.id));
-        }
-    }
+    submit_all(&victim, "victim")?;
     match victim.run_next_epoch() {
         Err(e) if e.contains("chaos") => {}
-        other => {
-            return Err(format!(
-                "daemon smoke: victim survived the chaos crash: {other:?}"
-            ))
-        }
+        other => return Err(format!("victim survived the chaos crash: {other:?}")),
     }
     drop(victim);
 
     let revived_tele = Telemetry::enabled();
     let revived = build("crash", 0, &revived_tele)?;
-    let recovery = revived
-        .recover()
-        .map_err(|e| format!("daemon smoke: recover: {e}"))?;
+    let recovery = revived.recover().map_err(failed("recover"))?;
     if recovery.epochs_pending != 1 || recovery.jobs_replayed != 2 || recovery.jobs_resumed != 2 {
         return Err(format!(
-            "daemon smoke: unexpected recovery {recovery:?} (want 1 epoch, 2 replayed, 2 resumed)"
+            "unexpected recovery {recovery:?} (want 1 epoch, 2 replayed, 2 resumed)"
         ));
     }
-    let mut revived_jobs = Vec::new();
-    while let Some((_, report)) = revived
-        .run_next_epoch()
-        .map_err(|e| format!("daemon smoke: resumed epoch: {e}"))?
-    {
-        revived_jobs.extend(report.jobs);
-    }
+    let revived_jobs = drain(&revived, "resumed")?;
     let recovery_wall = t_recovery.elapsed().as_secs_f64();
 
     // Reference: the same epoch on a daemon that was never killed.
     let calm_tele = Telemetry::enabled();
     let calm = build("calm", 0, &calm_tele)?;
-    for s in &demo {
-        let response = calm.handle_request(Request::Submit(s.clone()));
-        if let Some(kind) = response.error_kind() {
-            return Err(format!("daemon smoke: calm refused '{}': {kind}", s.id));
-        }
-    }
-    let mut calm_jobs = Vec::new();
-    while let Some((_, report)) = calm
-        .run_next_epoch()
-        .map_err(|e| format!("daemon smoke: calm epoch: {e}"))?
-    {
-        calm_jobs.extend(report.jobs);
-    }
+    submit_all(&calm, "calm")?;
+    let calm_jobs = drain(&calm, "calm")?;
 
-    let find = |jobs: &[isop::engine::JobResult], id: &str| {
-        jobs.iter()
-            .find(|j| j.id == id)
-            .cloned()
-            .ok_or_else(|| format!("daemon smoke: job '{id}' missing"))
-    };
+    let crash_frames = finished_frames("crash")?;
+    let replay = "daemon replay violation: kill + restart vs never-killed";
     for s in &demo {
-        let replayed = find(&revived_jobs, &s.id)?;
-        let reference = find(&calm_jobs, &s.id)?;
-        if !engine_jobs_identical(&replayed, &reference)
-            || replayed.disposition != reference.disposition
-        {
+        same_job(
+            find_job(&revived_jobs, &s.id)?,
+            find_job(&calm_jobs, &s.id)?,
+            replay,
+        )?;
+        let frames = crash_frames.iter().filter(|f| f.job_id == s.id).count();
+        if frames != 1 {
             return Err(format!(
-                "daemon replay violation: job '{}' after kill + restart diverged from the \
-                 never-killed daemon",
+                "daemon double-charge violation: job '{}' has {frames} Finished frames",
                 s.id
             ));
         }
     }
-    let crash_frames = Store::open(&scratch.join("crash"))
-        .map_err(|e| format!("daemon smoke: reopen crash store: {e}"))?
-        .load_jobs()
-        .map_err(|e| format!("daemon smoke: crash journal: {e}"))?;
-    let mut finished_frames = 0u64;
-    for s in &demo {
-        let per_job = crash_frames
-            .iter()
-            .filter(|f| f.state == JobState::Finished && f.job_id == s.id)
-            .count() as u64;
-        if per_job != 1 {
-            return Err(format!(
-                "daemon double-charge violation: job '{}' has {per_job} Finished frames",
-                s.id
-            ));
-        }
-        finished_frames += per_job;
-    }
-    let charged =
-        |jobs: &[isop::engine::JobResult]| jobs.iter().map(|j| j.em_seconds_charged).sum::<f64>();
+    let charged = |jobs: &[JobResult]| jobs.iter().map(|j| j.em_seconds_charged).sum::<f64>();
     let calm_charged = charged(&calm_jobs);
     let recovered_charged = charged(&revived_jobs);
     if calm_charged.to_bits() != recovered_charged.to_bits() {
@@ -1536,137 +1093,59 @@ fn daemon_smoke(
         ));
     }
 
-    for c in Counter::ALL {
-        main.add(c, victim_tele.counter(c));
-        main.add(c, revived_tele.counter(c));
-        main.add(c, calm_tele.counter(c));
+    for telemetry in [&victim_tele, &revived_tele, &calm_tele] {
+        fold_counters(&ctx.main, &telemetry.run_report());
     }
     // Preserve the proven journal as a CI artifact before the scratch
     // directory goes away.
-    std::fs::create_dir_all(journal_dir)
-        .map_err(|e| format!("daemon smoke: create {}: {e}", journal_dir.display()))?;
-    for entry in std::fs::read_dir(scratch.join("crash"))
-        .map_err(|e| format!("daemon smoke: list crash store: {e}"))?
-    {
-        let entry = entry.map_err(|e| format!("daemon smoke: list crash store: {e}"))?;
-        if entry.path().is_file() {
-            std::fs::copy(entry.path(), journal_dir.join(entry.file_name()))
-                .map_err(|e| format!("daemon smoke: export journal: {e}"))?;
+    let export = || -> std::io::Result<()> {
+        std::fs::create_dir_all(&ctx.journal_dir)?;
+        for entry in std::fs::read_dir(scratch.join("crash"))? {
+            let entry = entry?;
+            if entry.path().is_file() {
+                std::fs::copy(entry.path(), ctx.journal_dir.join(entry.file_name()))?;
+            }
         }
-    }
+        Ok(())
+    };
+    export().map_err(failed("export journal"))?;
     std::fs::remove_dir_all(&scratch).ok();
-    println!(
-        "bench_gate: daemon smoke: TCP leg drained {} jobs in {tcp_wall:.2}s; kill at wave 1 \
-         replayed {} + resumed {} jobs bit-identically in {recovery_wall:.2}s \
-         ({finished_frames} Finished frames, {recovered_charged:.2}s EM charged == calm)",
-        demo.len(),
-        recovery.jobs_replayed,
-        recovery.jobs_resumed,
-    );
-    Ok((
-        t0.elapsed().as_secs_f64(),
-        DaemonSmokeSummary {
-            tcp_wall_seconds: tcp_wall,
-            tcp_jobs_finished: tcp_finished,
-            recovery_wall_seconds: recovery_wall,
-            jobs_replayed: recovery.jobs_replayed,
-            jobs_resumed: recovery.jobs_resumed,
-            calm_em_charged_seconds: calm_charged,
-            recovered_em_charged_seconds: recovered_charged,
-            finished_frames,
-        },
-    ))
+    Ok(PhaseRun {
+        wall_seconds: t0.elapsed().as_secs_f64(),
+        summary: vec![
+            ("tcp_wall_seconds", tcp_wall),
+            ("tcp_jobs_finished", tcp_finished as f64),
+            ("recovery_wall_seconds", recovery_wall),
+            ("jobs_replayed", recovery.jobs_replayed as f64),
+            ("jobs_resumed", recovery.jobs_resumed as f64),
+            ("calm_em_charged_seconds", calm_charged),
+            ("recovered_em_charged_seconds", recovered_charged),
+            ("finished_frames", crash_frames.len() as f64),
+        ],
+    })
 }
 
-fn write_file(path: &str, contents: &str) -> Result<(), String> {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        }
-    }
-    std::fs::write(path, contents).map_err(|e| e.to_string())
+/// What the gate concluded from one measurement.
+#[derive(Debug, Default)]
+struct Verdict {
+    /// Budget overruns; any one fails the gate.
+    failures: Vec<String>,
+    /// Within-budget lines for the log.
+    notes: Vec<String>,
+    /// Each measured phase's wall limit (budget x [`WALL_MARGIN`]), in the
+    /// order of the measured walls.
+    limits: Vec<f64>,
 }
 
-fn gate(
-    thresholds_path: &str,
-    out_path: &str,
-    update: bool,
-    use_cache: bool,
-) -> Result<(), String> {
-    let SmokeMeasurement {
-        report,
-        wall,
-        train_wall,
-        fault_wall,
-        sched_wall,
-        sweep_wall,
-        store_wall,
-        store,
-        engine_wall,
-        engine,
-        daemon_wall,
-        daemon,
-    } = run_smoke(
-        use_cache,
-        &std::path::Path::new(out_path).with_file_name("daemon_journal"),
-    )?;
-    write_file(out_path, &report.to_json().map_err(|e| format!("{e:?}"))?)?;
-    let pr8_path = std::path::Path::new(out_path)
-        .with_file_name("BENCH_pr8.json")
-        .to_string_lossy()
-        .into_owned();
-    write_file(
-        &pr8_path,
-        &serde_json::to_string(&store).map_err(|e| format!("{e:?}"))?,
-    )?;
-    let pr9_path = std::path::Path::new(out_path)
-        .with_file_name("BENCH_pr9.json")
-        .to_string_lossy()
-        .into_owned();
-    write_file(
-        &pr9_path,
-        &serde_json::to_string(&engine).map_err(|e| format!("{e:?}"))?,
-    )?;
-    let pr10_path = std::path::Path::new(out_path)
-        .with_file_name("BENCH_pr10.json")
-        .to_string_lossy()
-        .into_owned();
-    write_file(
-        &pr10_path,
-        &serde_json::to_string(&daemon).map_err(|e| format!("{e:?}"))?,
-    )?;
-    println!(
-        "bench_gate: smoke run took {wall:.2}s (+{train_wall:.2}s training, \
-         +{fault_wall:.2}s faults, +{sched_wall:.2}s scheduler, +{sweep_wall:.2}s sweep, \
-         +{store_wall:.2}s store, +{engine_wall:.2}s engine, +{daemon_wall:.2}s daemon), \
-         report at {out_path}, cold-vs-warm at {pr8_path}, serial-vs-concurrent at \
-         {pr9_path}, kill-vs-calm at {pr10_path}"
-    );
-
-    if update {
-        let thresholds = GateThresholds {
-            schema_version: RunReport::SCHEMA_VERSION,
-            seed: SMOKE_SEED,
-            max_wall_seconds: wall * WALL_UPDATE_HEADROOM,
-            max_train_seconds: train_wall * WALL_UPDATE_HEADROOM,
-            max_fault_seconds: fault_wall * WALL_UPDATE_HEADROOM,
-            max_sched_seconds: sched_wall * WALL_UPDATE_HEADROOM,
-            max_sweep_seconds: sweep_wall * WALL_UPDATE_HEADROOM,
-            max_store_seconds: store_wall * WALL_UPDATE_HEADROOM,
-            max_engine_seconds: engine_wall * WALL_UPDATE_HEADROOM,
-            max_daemon_seconds: daemon_wall * WALL_UPDATE_HEADROOM,
-            counters: report.counters.clone(),
-        };
-        let json = serde_json::to_string(&thresholds).map_err(|e| format!("{e:?}"))?;
-        write_file(thresholds_path, &json)?;
-        println!("bench_gate: wrote thresholds to {thresholds_path}");
-        return Ok(());
-    }
-
-    let text = std::fs::read_to_string(thresholds_path)
-        .map_err(|e| format!("{thresholds_path}: {e} (run with --update to create)"))?;
-    let thresholds: GateThresholds =
-        serde_json::from_str(&text).map_err(|e| format!("{thresholds_path}: {e:?}"))?;
+/// Compares the measured phase walls (named as in [`PHASES`]) and the
+/// report's counters with `thresholds`. A thresholds file that disagrees
+/// with the phases — one without a budget, a budget naming no phase, or a
+/// phase budgeted twice — is an error, never a skipped check.
+fn verdict(
+    thresholds: &GateThresholds,
+    walls: &[(&str, f64)],
+    report: &RunReport,
+) -> Result<Verdict, String> {
     if thresholds.schema_version != RunReport::SCHEMA_VERSION {
         return Err(format!(
             "threshold schema v{} != report schema v{} (run --update)",
@@ -1680,158 +1159,171 @@ fn gate(
             thresholds.seed
         ));
     }
-
-    let mut failures = Vec::new();
-    for budget in &thresholds.counters {
-        let measured = report.counter(&budget.name);
-        if measured > budget.value {
-            failures.push(format!(
-                "counter regression: {} = {measured} > budget {}",
-                budget.name, budget.value
+    let budgets = &thresholds.wall_budgets;
+    for (i, budget) in budgets.iter().enumerate() {
+        let phase = &budget.phase;
+        if !walls.iter().any(|(name, _)| name == phase) {
+            return Err(format!(
+                "thresholds budget phase '{phase}', which the gate does not run"
             ));
-        } else if measured < budget.value {
-            println!(
-                "bench_gate: note: {} = {measured} under budget {} (consider --update)",
-                budget.name, budget.value
-            );
+        }
+        if budgets[..i].iter().any(|b| &b.phase == phase) {
+            return Err(format!("thresholds budget phase '{phase}' twice"));
         }
     }
-    let wall_limit = thresholds.max_wall_seconds * WALL_MARGIN;
-    if wall > wall_limit {
-        failures.push(format!(
-            "wall-clock regression: {wall:.2}s > {wall_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_wall_seconds
-        ));
-    } else {
-        println!("bench_gate: wall-clock {wall:.2}s within {wall_limit:.2}s limit");
+
+    let mut v = Verdict::default();
+    for &(phase, wall) in walls {
+        let budget = budgets
+            .iter()
+            .find(|b| b.phase == phase)
+            .ok_or_else(|| format!("thresholds hold no wall budget for phase '{phase}'"))?;
+        let limit = budget.max_seconds * WALL_MARGIN;
+        if wall > limit {
+            v.failures.push(format!(
+                "{phase} wall-clock regression: {wall:.2}s > {limit:.2}s \
+                 ({:.2}s budget x {WALL_MARGIN} margin)",
+                budget.max_seconds
+            ));
+        } else {
+            v.notes.push(format!(
+                "{phase} wall-clock {wall:.2}s within {limit:.2}s limit"
+            ));
+        }
+        v.limits.push(limit);
     }
-    let train_limit = thresholds.max_train_seconds * WALL_MARGIN;
-    if train_wall > train_limit {
-        failures.push(format!(
-            "training wall-clock regression: {train_wall:.2}s > {train_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_train_seconds
-        ));
-    } else {
-        println!("bench_gate: training wall-clock {train_wall:.2}s within {train_limit:.2}s limit");
+    for budget in &thresholds.counters {
+        let (name, value) = (&budget.name, budget.value);
+        let measured = report.counter(name);
+        if measured > value {
+            v.failures.push(format!(
+                "counter regression: {name} = {measured} > budget {value}"
+            ));
+        } else if measured < value {
+            v.notes.push(format!(
+                "note: {name} = {measured} under budget {value} (consider --update)"
+            ));
+        }
     }
-    let fault_limit = thresholds.max_fault_seconds * WALL_MARGIN;
-    if fault_wall > fault_limit {
-        failures.push(format!(
-            "fault-smoke wall-clock regression: {fault_wall:.2}s > {fault_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_fault_seconds
-        ));
-    } else {
-        println!(
-            "bench_gate: fault-smoke wall-clock {fault_wall:.2}s within {fault_limit:.2}s limit"
+    Ok(v)
+}
+
+fn write_file(path: &Path, contents: &str) -> Result<(), String> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+    }
+    std::fs::write(path, contents).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+fn gate(
+    thresholds_path: &str,
+    out_path: &str,
+    update: bool,
+    use_cache: bool,
+) -> Result<(), String> {
+    let out = Path::new(out_path);
+    let mut ctx = Ctx {
+        main: Telemetry::enabled(),
+        use_cache,
+        journal_dir: out.with_file_name("daemon_journal"),
+        smoke: Vec::new(),
+    };
+    let mut records = Vec::new();
+    for &(phase, run) in PHASES {
+        let measured = run(&mut ctx).map_err(|e| format!("{phase} phase: {e}"))?;
+        let numbers = measured.summary.iter();
+        let summary = Value::Obj(
+            numbers
+                .map(|&(k, v)| (k.to_string(), Value::Num(v)))
+                .collect(),
         );
-    }
-    let sched_limit = thresholds.max_sched_seconds * WALL_MARGIN;
-    if sched_wall > sched_limit {
-        failures.push(format!(
-            "sched-smoke wall-clock regression: {sched_wall:.2}s > {sched_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_sched_seconds
-        ));
-    } else {
-        println!(
-            "bench_gate: sched-smoke wall-clock {sched_wall:.2}s within {sched_limit:.2}s limit"
-        );
-    }
-    let sweep_limit = thresholds.max_sweep_seconds * WALL_MARGIN;
-    if sweep_wall > sweep_limit {
-        failures.push(format!(
-            "sweep-smoke wall-clock regression: {sweep_wall:.2}s > {sweep_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_sweep_seconds
-        ));
-    } else {
-        println!(
-            "bench_gate: sweep-smoke wall-clock {sweep_wall:.2}s within {sweep_limit:.2}s limit"
-        );
-    }
-    let store_limit = thresholds.max_store_seconds * WALL_MARGIN;
-    if store_wall > store_limit {
-        failures.push(format!(
-            "store-smoke wall-clock regression: {store_wall:.2}s > {store_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_store_seconds
-        ));
-    } else {
-        println!(
-            "bench_gate: store-smoke wall-clock {store_wall:.2}s within {store_limit:.2}s limit"
-        );
-    }
-    let engine_limit = thresholds.max_engine_seconds * WALL_MARGIN;
-    if engine_wall > engine_limit {
-        failures.push(format!(
-            "engine-smoke wall-clock regression: {engine_wall:.2}s > {engine_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_engine_seconds
-        ));
-    } else {
-        println!(
-            "bench_gate: engine-smoke wall-clock {engine_wall:.2}s within {engine_limit:.2}s limit"
-        );
-    }
-    let daemon_limit = thresholds.max_daemon_seconds * WALL_MARGIN;
-    if daemon_wall > daemon_limit {
-        failures.push(format!(
-            "daemon-smoke wall-clock regression: {daemon_wall:.2}s > {daemon_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_daemon_seconds
-        ));
-    } else {
-        println!(
-            "bench_gate: daemon-smoke wall-clock {daemon_wall:.2}s within {daemon_limit:.2}s limit"
-        );
+        let (wall_seconds, json) = (measured.wall_seconds, summary.to_json_string());
+        println!("bench_gate: {phase} phase passed in {wall_seconds:.3}s: {json}");
+        records.push(PhaseRecord {
+            phase,
+            wall_seconds,
+            limit_seconds: f64::NAN,
+            summary,
+        });
     }
 
-    if failures.is_empty() {
+    let [first, second] = &ctx.smoke[..] else {
+        return Err("pipeline phase recorded no outcomes".into());
+    };
+    let mut report = ctx.main.run_report();
+    report.task = TaskId::T1.to_string();
+    report.space = "s1".to_string();
+    report.seed = SMOKE_SEED;
+    report.threads = SMOKE_THREADS;
+    report.success = second.success;
+    report.samples_seen = first.samples_seen + second.samples_seen;
+    report.invalid_seen = first.invalid_seen + second.invalid_seen;
+    report.algorithm_seconds = first.algorithm_seconds + second.algorithm_seconds;
+    report.resolution = first.resolution.as_str().to_string();
+    write_file(out, &report.to_json().map_err(|e| format!("{e:?}"))?)?;
+
+    let walls: Vec<(&str, f64)> = records.iter().map(|r| (r.phase, r.wall_seconds)).collect();
+    let thresholds = if update {
+        let wall_budgets = walls.iter().map(|&(phase, wall)| WallBudget {
+            phase: phase.to_string(),
+            max_seconds: wall * WALL_UPDATE_HEADROOM,
+        });
+        let thresholds = GateThresholds {
+            schema_version: RunReport::SCHEMA_VERSION,
+            seed: SMOKE_SEED,
+            wall_budgets: wall_budgets.collect(),
+            counters: report.counters.clone(),
+        };
+        let json = serde_json::to_string(&thresholds).map_err(|e| format!("{e:?}"))?;
+        write_file(Path::new(thresholds_path), &json)?;
+        println!("bench_gate: wrote thresholds to {thresholds_path}");
+        thresholds
+    } else {
+        let text = std::fs::read_to_string(thresholds_path)
+            .map_err(|e| format!("{thresholds_path}: {e} (run with --update to create)"))?;
+        serde_json::from_str(&text).map_err(|e| format!("{thresholds_path}: {e:?}"))?
+    };
+    let verdict = verdict(&thresholds, &walls, &report)?;
+    for (record, &limit) in records.iter_mut().zip(&verdict.limits) {
+        record.limit_seconds = limit;
+    }
+    let gate_path = out.with_file_name("BENCH_gate.json");
+    let json = serde_json::to_string(&records).map_err(|e| format!("{e:?}"))?;
+    write_file(&gate_path, &json)?;
+    println!(
+        "bench_gate: run report at {out_path}, phase records at {}",
+        gate_path.display()
+    );
+    for note in &verdict.notes {
+        println!("bench_gate: {note}");
+    }
+    if verdict.failures.is_empty() {
         println!(
-            "bench_gate: OK ({} counters checked)",
+            "bench_gate: OK ({} phase walls, {} counters checked)",
+            walls.len(),
             thresholds.counters.len()
         );
         Ok(())
     } else {
-        Err(failures.join("\n"))
+        Err(verdict.failures.join("\n"))
     }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut thresholds_path = "scripts/bench_thresholds.json".to_string();
     let mut out_path = "results/BENCH_ci.json".to_string();
-    let mut update = false;
-    let mut use_cache = true;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--update" => {
-                update = true;
-                i += 1;
-            }
-            "--no-cache" => {
-                use_cache = false;
-                i += 1;
-            }
-            "--thresholds" if i + 1 < args.len() => {
-                thresholds_path = args[i + 1].clone();
-                i += 2;
-            }
-            "--out" if i + 1 < args.len() => {
-                out_path = args[i + 1].clone();
-                i += 2;
-            }
-            other => {
-                eprintln!("bench_gate: unknown argument '{other}'");
-                eprintln!(
-                    "usage: bench_gate [--thresholds FILE] [--out FILE] [--update] [--no-cache]"
-                );
-                return ExitCode::FAILURE;
-            }
+    let (mut update, mut use_cache) = (false, true);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--update" => update = true,
+            "--no-cache" => use_cache = false,
+            "--thresholds" | "--out" => match args.next() {
+                Some(value) if arg == "--out" => out_path = value,
+                Some(value) => thresholds_path = value,
+                None => return usage(&arg),
+            },
+            _ => return usage(&arg),
         }
     }
     match gate(&thresholds_path, &out_path, update, use_cache) {
@@ -1840,5 +1332,112 @@ fn main() -> ExitCode {
             eprintln!("bench_gate: FAIL\n{e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Rejects an unknown (or value-less) argument with the usage line.
+fn usage(arg: &str) -> ExitCode {
+    eprintln!("bench_gate: unknown argument '{arg}'");
+    eprintln!("usage: bench_gate [--thresholds FILE] [--out FILE] [--update] [--no-cache]");
+    ExitCode::FAILURE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every phase budgeted at 1 s and `em.cache.misses` at 20.
+    fn thresholds() -> GateThresholds {
+        let budget = |&(phase, _): &Phase| WallBudget {
+            phase: phase.to_string(),
+            max_seconds: 1.0,
+        };
+        GateThresholds {
+            schema_version: RunReport::SCHEMA_VERSION,
+            seed: SMOKE_SEED,
+            wall_budgets: PHASES.iter().map(budget).collect(),
+            counters: report(20).counters,
+        }
+    }
+
+    /// Every phase measured at `seconds`.
+    fn walls(seconds: f64) -> Vec<(&'static str, f64)> {
+        PHASES.iter().map(|&(phase, _)| (phase, seconds)).collect()
+    }
+
+    fn report(cache_misses: u64) -> RunReport {
+        let name = "em.cache.misses".to_string();
+        RunReport {
+            counters: vec![CounterEntry {
+                name,
+                value: cache_misses,
+            }],
+            ..RunReport::empty()
+        }
+    }
+
+    /// (a) Each phase over its budget fails the gate by name; at the
+    /// budget (within the margin) every phase passes.
+    #[test]
+    fn phase_over_budget_fails_and_names_the_phase() {
+        let at_budget = verdict(&thresholds(), &walls(1.05), &report(20)).unwrap();
+        assert!(at_budget.failures.is_empty(), "{:?}", at_budget.failures);
+        assert_eq!(at_budget.limits, vec![WALL_MARGIN; PHASES.len()]);
+        for (i, &(phase, _)) in PHASES.iter().enumerate() {
+            let mut measured = walls(0.5);
+            measured[i].1 = 1.2;
+            let v = verdict(&thresholds(), &measured, &report(20)).unwrap();
+            let expected = format!("{phase} wall-clock regression");
+            assert!(v.failures.len() == 1 && v.failures[0].starts_with(&expected));
+        }
+    }
+
+    /// (b) A phase the thresholds do not budget is an error, not a skip.
+    #[test]
+    fn phase_without_a_budget_is_an_error() {
+        for &(phase, _) in PHASES {
+            let mut t = thresholds();
+            t.wall_budgets.retain(|b| b.phase != phase);
+            let err = verdict(&t, &walls(0.5), &report(20)).unwrap_err();
+            assert!(err.contains(&format!("'{phase}'")), "{err}");
+        }
+    }
+
+    /// (c) A budget for a phase the table lacks, or a phase budgeted
+    /// twice, is an error.
+    #[test]
+    fn budget_for_an_unknown_or_repeated_phase_is_an_error() {
+        let mut unknown = thresholds();
+        unknown.wall_budgets[0].phase = "warp".into();
+        let err = verdict(&unknown, &walls(0.5), &report(20)).unwrap_err();
+        assert!(err.contains("'warp'"), "{err}");
+
+        let mut repeated = thresholds();
+        repeated.wall_budgets.push(repeated.wall_budgets[0].clone());
+        assert!(verdict(&repeated, &walls(0.5), &report(20)).is_err());
+    }
+
+    /// (d) A counter over its budget fails the gate.
+    #[test]
+    fn counter_over_budget_fails() {
+        let v = verdict(&thresholds(), &walls(0.5), &report(21)).unwrap();
+        let expected = "counter regression: em.cache.misses = 21 > budget 20";
+        assert_eq!(v.failures, vec![expected.to_string()]);
+    }
+
+    /// The checked-in thresholds budget every phase and every counter.
+    #[test]
+    fn checked_in_thresholds_match_the_phases() {
+        let text = include_str!("../../../../scripts/bench_thresholds.json");
+        let t: GateThresholds = serde_json::from_str(text).unwrap();
+        let measured = RunReport {
+            counters: t.counters.clone(),
+            ..RunReport::empty()
+        };
+        let v = verdict(&t, &walls(0.0), &measured).unwrap();
+        assert!(v.failures.is_empty(), "{:?}", v.failures);
+        let names: Vec<&str> = t.counters.iter().map(|c| c.name.as_str()).collect();
+        let all: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(names, all);
     }
 }

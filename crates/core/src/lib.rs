@@ -72,7 +72,6 @@ pub mod daemon;
 pub mod data;
 pub mod engine;
 pub mod evalcache;
-pub mod exec;
 pub mod experiment;
 pub mod jobs;
 pub mod manual;
@@ -85,6 +84,10 @@ pub mod spaces;
 pub mod surrogate;
 pub mod tasks;
 pub mod weights;
+
+/// Deterministic parallel execution: the [`isop_exec`] crate, re-exported
+/// so `isop::exec::*` paths resolve.
+pub use isop_exec as exec;
 
 /// Convenience re-exports for typical use.
 pub mod prelude {

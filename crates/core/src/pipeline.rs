@@ -463,7 +463,7 @@ impl<'a> IsopOptimizer<'a> {
         let adapter = self.config.weight_adapter;
         let adapt = self.config.adapt_weights;
         let init_space = BinarySpace::free(self.space.total_bits());
-        let result = harmonica::run_traced(
+        let result = harmonica::run(
             &mut bin_obj,
             init_space,
             &self.config.harmonica,
@@ -502,7 +502,7 @@ impl<'a> IsopOptimizer<'a> {
             // before use).
             let mut valid = 0u64;
             let mut invalid = 0u64;
-            let ranked = hyperband::run_traced(
+            let ranked = hyperband::run(
                 &self.config.hyperband,
                 &mut rng,
                 &self.telemetry,
@@ -888,10 +888,26 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(5);
                 let mut budget = Budget::unlimited();
                 let result = if batched {
-                    harmonica::run(&mut obj, free, &cfg, &mut budget, &mut rng, |_, _| {})
+                    harmonica::run(
+                        &mut obj,
+                        free,
+                        &cfg,
+                        &mut budget,
+                        &mut rng,
+                        &Telemetry::disabled(),
+                        |_, _| {},
+                    )
                 } else {
                     let mut per_row = PerRow(&mut obj);
-                    harmonica::run(&mut per_row, free, &cfg, &mut budget, &mut rng, |_, _| {})
+                    harmonica::run(
+                        &mut per_row,
+                        free,
+                        &cfg,
+                        &mut budget,
+                        &mut rng,
+                        &Telemetry::disabled(),
+                        |_, _| {},
+                    )
                 };
                 histories.push((result.history, budget.samples(), rng.gen::<u64>()));
             }

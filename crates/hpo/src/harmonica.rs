@@ -13,7 +13,7 @@
 //! discrepancy in `S_1`.
 
 use crate::budget::Budget;
-use crate::lasso::lasso_coordinate_descent_traced;
+use crate::lasso::lasso_coordinate_descent;
 use crate::objective::BinaryObjective;
 use crate::space::BinarySpace;
 use isop_telemetry::{Counter, Telemetry};
@@ -230,34 +230,15 @@ fn sample_valid(
     out
 }
 
-/// Runs Harmonica starting from `space`.
+/// Runs Harmonica starting from `space`, recording a `harmonica.sample`
+/// span around each stage's sampling batch on `telemetry`, counting Lasso
+/// solves and completed stages, and forwarding the handle into the PSR
+/// Lasso fit. Pass [`Telemetry::disabled`] to record nothing.
 ///
 /// `on_stage` fires after each stage with that stage's valid samples — the
 /// hook ISOP+ uses for adaptive weight adjustment (Algorithm 2), which makes
 /// the objective for the *next* stage differ.
 pub fn run(
-    obj: &mut dyn BinaryObjective,
-    space: BinarySpace,
-    cfg: &HarmonicaConfig,
-    budget: &mut Budget,
-    rng: &mut StdRng,
-    on_stage: impl FnMut(usize, &[BinarySample]),
-) -> HarmonicaResult {
-    run_traced(
-        obj,
-        space,
-        cfg,
-        budget,
-        rng,
-        &Telemetry::disabled(),
-        on_stage,
-    )
-}
-
-/// [`run`] with telemetry: records a `harmonica.sample` span around each
-/// stage's sampling batch, counts Lasso solves and completed stages, and
-/// forwards the handle into the PSR Lasso fit.
-pub fn run_traced(
     obj: &mut dyn BinaryObjective,
     mut space: BinarySpace,
     cfg: &HarmonicaConfig,
@@ -313,8 +294,7 @@ pub fn run_traced(
             }
             yvec[r] = s.value;
         }
-        let fit =
-            lasso_coordinate_descent_traced(&xmat, &yvec, n, d, cfg.lambda, 300, 1e-7, telemetry);
+        let fit = lasso_coordinate_descent(&xmat, &yvec, n, d, cfg.lambda, 300, 1e-7, telemetry);
         let top = fit.top_k(cfg.top_monomials);
 
         // Collect the bits of the significant monomials, most significant
@@ -437,6 +417,7 @@ mod tests {
             &cfg,
             &mut budget,
             &mut rng(),
+            &Telemetry::disabled(),
             |_, _| {},
         );
         // The dominant single-bit terms must be fixed to their minimizers.
@@ -460,6 +441,7 @@ mod tests {
             &cfg,
             &mut budget,
             &mut rng(),
+            &Telemetry::disabled(),
             |_, _| {},
         );
         assert!(res.space.n_free() < 16, "space must shrink");
@@ -482,6 +464,7 @@ mod tests {
             &cfg,
             &mut budget,
             &mut rng(),
+            &Telemetry::disabled(),
             |stage, samples| {
                 stage_sizes.push((stage, samples.len()));
             },
@@ -505,6 +488,7 @@ mod tests {
             &cfg,
             &mut budget,
             &mut rng(),
+            &Telemetry::disabled(),
             |_, _| {},
         );
         assert!(res.stages_run <= 2);
@@ -533,6 +517,7 @@ mod tests {
             &cfg,
             &mut budget,
             &mut rng(),
+            &Telemetry::disabled(),
             |_, _| {},
         );
         assert!(
@@ -557,6 +542,7 @@ mod tests {
             &cfg,
             &mut budget,
             &mut rng(),
+            &Telemetry::disabled(),
             |_, _| {},
         );
         let hist_min = res
@@ -597,6 +583,7 @@ mod tests {
             &cfg,
             &mut budget,
             &mut rng(),
+            &Telemetry::disabled(),
             |_, _| {},
         );
         assert_eq!(res.stages_run, 3, "later stages must stay alive");
@@ -616,9 +603,10 @@ mod tests {
         assert_eq!(res.best.expect("found").value, 0.0);
     }
 
-    /// Tracing must be observation-only: the traced run draws the same RNG
-    /// stream and returns the same result, while the counters account one
-    /// Lasso solve per completed stage.
+    /// Tracing must be observation-only: a run on an enabled handle draws
+    /// the same RNG stream and returns the same result as one on a disabled
+    /// handle, while the counters account one Lasso solve per completed
+    /// stage.
     #[test]
     fn traced_run_matches_plain_run_and_counts_stages() {
         let cfg = HarmonicaConfig {
@@ -633,11 +621,12 @@ mod tests {
             &cfg,
             &mut Budget::unlimited(),
             &mut rng(),
+            &Telemetry::disabled(),
             |_, _| {},
         );
         let tele = Telemetry::enabled();
         let mut traced_obj = sparse_objective();
-        let traced = run_traced(
+        let traced = run(
             &mut traced_obj,
             BinarySpace::free(16),
             &cfg,
@@ -848,6 +837,7 @@ mod tests {
             &cfg,
             &mut budget,
             &mut rng(),
+            &Telemetry::disabled(),
             |_, _| {},
         );
         // The triple must be fixed to a joint assignment with product -1.

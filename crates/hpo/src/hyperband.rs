@@ -50,6 +50,10 @@ pub struct Ranked<C> {
 ///   hook so stochastic fidelity schemes (e.g. random neighbourhood probes)
 ///   draw from the same deterministic stream as the sampler.
 ///
+/// Records a `hyperband.rung` span per successive halving rung on
+/// `telemetry` and counts configurations promoted to the next rung vs
+/// pruned at it; pass [`Telemetry::disabled`] to record nothing.
+///
 /// Returns every configuration that survived to the end of its bracket,
 /// sorted by loss ascending; `NaN` losses rank last.
 ///
@@ -57,18 +61,6 @@ pub struct Ranked<C> {
 ///
 /// Panics if `eta <= 1` or `max_resource < 1`.
 pub fn run<C: Clone>(
-    cfg: &HyperbandConfig,
-    rng: &mut StdRng,
-    sample: impl FnMut(&mut StdRng) -> C,
-    eval: impl FnMut(&mut StdRng, &C, f64) -> f64,
-) -> Vec<Ranked<C>> {
-    run_traced(cfg, rng, &Telemetry::disabled(), sample, eval)
-}
-
-/// [`run`] with telemetry: records a `hyperband.rung` span per successive
-/// halving rung and counts configurations promoted to the next rung vs
-/// pruned at it.
-pub fn run_traced<C: Clone>(
     cfg: &HyperbandConfig,
     rng: &mut StdRng,
     telemetry: &Telemetry,
@@ -170,6 +162,7 @@ mod tests {
         let results = run(
             &HyperbandConfig::default(),
             &mut rng,
+            &Telemetry::disabled(),
             |r| r.gen::<f64>(),
             |_, &x, resource| {
                 let noise = (noise_rng.gen::<f64>() - 0.5) / resource.sqrt();
@@ -187,6 +180,7 @@ mod tests {
         let results = run(
             &HyperbandConfig::default(),
             &mut rng,
+            &Telemetry::disabled(),
             |r| r.gen::<f64>(),
             |_, &x, _| x,
         );
@@ -206,6 +200,7 @@ mod tests {
         let _ = run(
             &cfg,
             &mut rng,
+            &Telemetry::disabled(),
             |r| r.gen::<f64>(),
             |_, _, resource| {
                 max_seen = max_seen.max(resource);
@@ -215,20 +210,26 @@ mod tests {
         assert!(max_seen <= 9.0 + 1e-9, "resource overshoot: {max_seen}");
     }
 
-    /// Tracing is observation-only (same draws, same ranking) and the
-    /// promotion/prune counters partition every non-final rung's pool.
+    /// Tracing is observation-only (an enabled handle sees the same draws
+    /// and ranking as a disabled one) and the promotion/prune counters
+    /// partition every non-final rung's pool.
     #[test]
     fn traced_run_matches_plain_run_and_counts_rungs() {
-        use isop_telemetry::Telemetry;
         let cfg = HyperbandConfig {
             max_resource: 9.0,
             eta: 3.0,
         };
         let mut rng_a = StdRng::seed_from_u64(8);
-        let plain = run(&cfg, &mut rng_a, |r| r.gen::<f64>(), |_, &x, _| x);
+        let plain = run(
+            &cfg,
+            &mut rng_a,
+            &Telemetry::disabled(),
+            |r| r.gen::<f64>(),
+            |_, &x, _| x,
+        );
         let tele = Telemetry::enabled();
         let mut rng_b = StdRng::seed_from_u64(8);
-        let traced = run_traced(&cfg, &mut rng_b, &tele, |r| r.gen::<f64>(), |_, &x, _| x);
+        let traced = run(&cfg, &mut rng_b, &tele, |r| r.gen::<f64>(), |_, &x, _| x);
         assert_eq!(plain, traced);
         let promoted = tele.counter(Counter::HyperbandPromotions);
         let pruned = tele.counter(Counter::HyperbandPrunes);

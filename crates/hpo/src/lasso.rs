@@ -36,7 +36,9 @@ impl LassoFit {
 }
 
 /// Fits `min ||y - X w - b||^2 / (2n) + lambda ||w||_1` by cyclic coordinate
-/// descent.
+/// descent, recording a `harmonica.lasso` span and a
+/// [`Counter::HarmonicaLassoSolves`](isop_telemetry::Counter) tick on
+/// `telemetry` — the PSR accounting surface the run report aggregates.
 ///
 /// `x` is row-major `n x d`. Columns are used as-is (parity features are
 /// already `{-1, +1}`-normalized). Converges when the largest coefficient
@@ -45,36 +47,8 @@ impl LassoFit {
 /// # Panics
 ///
 /// Panics if `x.len() != n * d`, `y.len() != n`, or `n == 0`.
-pub fn lasso_coordinate_descent(
-    x: &[f64],
-    y: &[f64],
-    n: usize,
-    d: usize,
-    lambda: f64,
-    max_iter: usize,
-    tol: f64,
-) -> LassoFit {
-    lasso_coordinate_descent_traced(
-        x,
-        y,
-        n,
-        d,
-        lambda,
-        max_iter,
-        tol,
-        &isop_telemetry::Telemetry::disabled(),
-    )
-}
-
-/// [`lasso_coordinate_descent`] recording a `harmonica.lasso` span and a
-/// [`Counter::HarmonicaLassoSolves`](isop_telemetry::Counter) tick on
-/// `telemetry` — the PSR accounting surface the run report aggregates.
-///
-/// # Panics
-///
-/// Panics if `x.len() != n * d`, `y.len() != n`, or `n == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn lasso_coordinate_descent_traced(
+pub fn lasso_coordinate_descent(
     x: &[f64],
     y: &[f64],
     n: usize,
@@ -190,6 +164,7 @@ fn soft_threshold(v: f64, lambda: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isop_telemetry::Telemetry;
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
@@ -217,7 +192,7 @@ mod tests {
         let y: Vec<f64> = (0..n)
             .map(|i| 2.0 * x[i * d + 3] - 1.5 * x[i * d + 17] + 0.7)
             .collect();
-        let fit = lasso_coordinate_descent(&x, &y, n, d, 0.05, 500, 1e-8);
+        let fit = lasso_coordinate_descent(&x, &y, n, d, 0.05, 500, 1e-8, &Telemetry::disabled());
         let top = fit.top_k(2);
         assert_eq!(
             {
@@ -239,7 +214,7 @@ mod tests {
         let (n, d) = (50, 10);
         let x = sign_matrix(n, d, 1);
         let y: Vec<f64> = (0..n).map(|i| x[i * d] * 0.1).collect();
-        let fit = lasso_coordinate_descent(&x, &y, n, d, 10.0, 200, 1e-8);
+        let fit = lasso_coordinate_descent(&x, &y, n, d, 10.0, 200, 1e-8, &Telemetry::disabled());
         assert!(fit.coefficients.iter().all(|&c| c == 0.0));
     }
 
@@ -250,7 +225,7 @@ mod tests {
         let y: Vec<f64> = (0..n)
             .map(|i| (0..d).map(|j| (j as f64 + 1.0) * x[i * d + j]).sum())
             .collect();
-        let fit = lasso_coordinate_descent(&x, &y, n, d, 0.0, 2000, 1e-12);
+        let fit = lasso_coordinate_descent(&x, &y, n, d, 0.0, 2000, 1e-12, &Telemetry::disabled());
         for j in 0..d {
             assert!(
                 (fit.coefficients[j] - (j as f64 + 1.0)).abs() < 1e-6,
@@ -268,19 +243,19 @@ mod tests {
         let y: Vec<f64> = (0..n)
             .map(|i| 3.0 * x[i * d + 7] + 0.1 * (rng.gen::<f64>() - 0.5))
             .collect();
-        let fit = lasso_coordinate_descent(&x, &y, n, d, 0.08, 500, 1e-8);
+        let fit = lasso_coordinate_descent(&x, &y, n, d, 0.08, 500, 1e-8, &Telemetry::disabled());
         assert_eq!(fit.top_k(1), vec![7]);
     }
 
     #[test]
     fn traced_fit_matches_untraced_and_counts_solves() {
-        use isop_telemetry::{Counter, Telemetry};
+        use isop_telemetry::Counter;
         let (n, d) = (60, 8);
         let x = sign_matrix(n, d, 5);
         let y: Vec<f64> = (0..n).map(|i| 1.5 * x[i * d + 2]).collect();
-        let plain = lasso_coordinate_descent(&x, &y, n, d, 0.05, 200, 1e-8);
+        let plain = lasso_coordinate_descent(&x, &y, n, d, 0.05, 200, 1e-8, &Telemetry::disabled());
         let tele = Telemetry::enabled();
-        let traced = lasso_coordinate_descent_traced(&x, &y, n, d, 0.05, 200, 1e-8, &tele);
+        let traced = lasso_coordinate_descent(&x, &y, n, d, 0.05, 200, 1e-8, &tele);
         assert_eq!(plain, traced, "tracing must not change the fit");
         assert_eq!(tele.counter(Counter::HarmonicaLassoSolves), 1);
         assert_eq!(
@@ -324,7 +299,7 @@ mod tests {
         let (n, dd) = (30, 6);
         let x = sign_matrix(n, dd, 9);
         let y = vec![f64::NAN; n];
-        let fit = lasso_coordinate_descent(&x, &y, n, dd, 0.05, 50, 1e-8);
+        let fit = lasso_coordinate_descent(&x, &y, n, dd, 0.05, 50, 1e-8, &Telemetry::disabled());
         let _ = fit.top_k(3);
     }
 }

@@ -8,6 +8,7 @@ use isop_hpo::objective::BinaryFn;
 use isop_hpo::sa::{self, SaConfig};
 use isop_hpo::space::{BinarySpace, DiscreteSpace};
 use isop_hpo::tpe::{Tpe, TpeConfig};
+use isop_telemetry::Telemetry;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,7 +44,7 @@ proptest! {
         };
         let mut budget = Budget::unlimited();
         let mut rng = StdRng::seed_from_u64(seed);
-        let res = harmonica::run(&mut obj, BinarySpace::free(12), &cfg, &mut budget, &mut rng, |_, _| {});
+        let res = harmonica::run(&mut obj, BinarySpace::free(12), &cfg, &mut budget, &mut rng, &Telemetry::disabled(), |_, _| {});
         let best = res.best.expect("found").value;
         let hist_min = res.history.iter().map(|s| s.value).fold(f64::INFINITY, f64::min);
         prop_assert!(best <= hist_min + 1e-12);
@@ -74,7 +75,7 @@ proptest! {
         };
         let mut budget = Budget::unlimited();
         let mut rng = StdRng::seed_from_u64(seed);
-        let res = harmonica::run(&mut obj, BinarySpace::free(10), &cfg, &mut budget, &mut rng, |_, _| {});
+        let res = harmonica::run(&mut obj, BinarySpace::free(10), &cfg, &mut budget, &mut rng, &Telemetry::disabled(), |_, _| {});
         // If the dominant bit got fixed, it must be fixed to its minimizer.
         if let Some(v) = res.space.restriction(bit) {
             prop_assert_eq!(v, !sign, "bit must minimize coef * sign(b)");
@@ -120,8 +121,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let x: Vec<f64> = (0..n * d).map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 }).collect();
         let y: Vec<f64> = (0..n).map(|i| 2.0 * x[i * d] - 1.0 * x[i * d + 3]).collect();
-        let l0 = lasso_coordinate_descent(&x, &y, n, d, 0.0, 2000, 1e-10);
-        let l1 = lasso_coordinate_descent(&x, &y, n, d, 0.3, 2000, 1e-10);
+        let l0 = lasso_coordinate_descent(&x, &y, n, d, 0.0, 2000, 1e-10, &Telemetry::disabled());
+        let l1 = lasso_coordinate_descent(&x, &y, n, d, 0.3, 2000, 1e-10, &Telemetry::disabled());
         let norm = |w: &[f64]| w.iter().map(|v| v.abs()).sum::<f64>();
         prop_assert!(norm(&l1.coefficients) <= norm(&l0.coefficients) + 1e-9);
     }
